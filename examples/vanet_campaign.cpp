@@ -14,7 +14,9 @@
 ///         --progress --log-level=L
 ///       With --csv=DIR the spec's emit list is written into DIR, every
 ///       artefact with a manifest sidecar recording the spec path and
-///       the digest of its normalized rendering.
+///       the digest of its normalized rendering. DIR and the directories
+///       of --partial-out and --checkpoint must exist: a missing one
+///       fails the run (exit 1) before the first job is simulated.
 ///
 ///   vanet_campaign print spec.json
 ///       Parses, validates and re-renders the spec in normalized form
@@ -26,6 +28,7 @@
 ///       default emit kinds.
 
 #include <cstdio>
+#include <filesystem>
 #include <iostream>
 
 #include "obs/manifest.h"
@@ -33,6 +36,7 @@
 #include "runner/emit.h"
 #include "runner/registry.h"
 #include "runner/spec.h"
+#include "util/file.h"
 #include "util/flags.h"
 
 namespace {
@@ -98,6 +102,25 @@ int main(int argc, char** argv) {
   runner::CampaignConfig config = runner::campaignConfigFromSpec(spec);
   runner::applyEngineFlags(run, config);
 
+  // Every output location must exist before the first job runs: a
+  // missing directory found after the campaign would lose its results.
+  const std::string dir = flags.getString("csv", "");
+  const auto parentOf = [](const std::string& file) {
+    return std::filesystem::path(file).parent_path().string();
+  };
+  try {
+    if (!dir.empty()) util::requireOutputDir("--csv", dir);
+    if (!run.partialOut.empty()) {
+      util::requireOutputDir("--partial-out", parentOf(run.partialOut));
+    }
+    if (!run.checkpoint.empty()) {
+      util::requireOutputDir("--checkpoint", parentOf(run.checkpoint));
+    }
+  } catch (const std::exception& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    return 1;
+  }
+
   if (!spec.title.empty()) {
     std::cout << spec.title << "\n";
     if (!spec.paperRef.empty()) std::cout << spec.paperRef << "\n";
@@ -131,7 +154,6 @@ int main(int argc, char** argv) {
     std::cout << "wrote " << run.partialOut << "\n";
   }
 
-  const std::string dir = flags.getString("csv", "");
   if (!dir.empty()) {
     std::vector<std::string> written;
     bool ok = false;

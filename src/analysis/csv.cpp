@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 
+#include "util/file.h"
 #include "util/log.h"
 
 namespace vanet::analysis {
@@ -10,7 +11,7 @@ namespace vanet::analysis {
 bool writeSeriesCsv(const std::string& path, const std::string& indexName,
                     const std::vector<std::string>& headers,
                     const std::vector<std::vector<double>>& columns) {
-  std::ofstream out(path);
+  std::ofstream out = util::openForRewrite(path);
   if (!out) {
     LOG_ERROR("cannot open " << path << " for writing");
     return false;
@@ -32,7 +33,7 @@ bool writeSeriesCsv(const std::string& path, const std::string& indexName,
 }
 
 bool writeTable1Csv(const std::string& path, const trace::Table1Data& data) {
-  std::ofstream out(path);
+  std::ofstream out = util::openForRewrite(path);
   if (!out) {
     LOG_ERROR("cannot open " << path << " for writing");
     return false;
@@ -89,7 +90,7 @@ std::string renderCsv(const std::vector<std::string>& headers,
 bool writeRowsCsv(const std::string& path,
                   const std::vector<std::string>& headers,
                   const std::vector<std::vector<std::string>>& rows) {
-  std::ofstream out(path);
+  std::ofstream out = util::openForRewrite(path);
   if (!out) {
     LOG_ERROR("cannot open " << path << " for writing");
     return false;

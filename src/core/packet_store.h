@@ -7,11 +7,10 @@
 /// its data but also buffers the packets addressed to other cars ... that
 /// consider it as cooperator").
 
-#include <map>
-#include <set>
 #include <utility>
 #include <vector>
 
+#include "util/seq_set.h"
 #include "util/types.h"
 
 namespace vanet::carq {
@@ -28,7 +27,7 @@ class PacketStore {
   void noteRecovered(SeqNo seq);
 
   /// True when the packet is present either directly or via recovery.
-  bool hasOwn(SeqNo seq) const;
+  bool hasOwn(SeqNo seq) const { return held_.contains(seq); }
 
   /// First / last own-flow sequence number received *directly* from an AP
   /// (0 before anything arrived). The paper's recovery window is
@@ -43,8 +42,12 @@ class PacketStore {
   /// Missing packets within an explicit range (file-download mode).
   std::vector<SeqNo> missingInRange(SeqNo lo, SeqNo hi) const;
 
+  /// True when every own-flow packet in [lo, hi] is held; the
+  /// allocation-free form of `missingInRange(lo, hi).empty()`.
+  bool holdsAll(SeqNo lo, SeqNo hi) const { return held_.containsAll(lo, hi); }
+
   std::size_t directCount() const noexcept { return direct_.size(); }
-  std::size_t recoveredCount() const noexcept { return recovered_.size(); }
+  std::size_t recoveredCount() const noexcept { return recoveredCount_; }
   std::size_t duplicateCount() const noexcept { return duplicates_; }
 
   // --- buffering for others ---
@@ -64,13 +67,22 @@ class PacketStore {
   std::vector<std::pair<FlowId, SeqNo>> bufferedMaxSeqs() const;
 
  private:
-  std::set<SeqNo> direct_;
-  std::set<SeqNo> recovered_;
+  /// One foreign flow buffered on a platoon member's behalf.
+  struct Buffered {
+    FlowId flow = 0;
+    util::SeqSet seqs;
+    SeqNo maxSeq = 0;
+    int payloadBytes = 0;  ///< of the latest buffered packet
+  };
+  const Buffered* findBuffered(FlowId flow) const;
+
+  util::SeqSet direct_;
+  util::SeqSet held_;  ///< direct or recovered
+  std::size_t recoveredCount_ = 0;
   SeqNo firstSeen_ = 0;
   SeqNo lastSeen_ = 0;
   std::size_t duplicates_ = 0;
-  std::map<FlowId, std::set<SeqNo>> foreign_;
-  std::map<FlowId, int> foreignBytes_;
+  std::vector<Buffered> foreign_;  ///< sorted by flow; a few platoon flows
 };
 
 }  // namespace vanet::carq

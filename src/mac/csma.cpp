@@ -135,7 +135,7 @@ void CsmaMac::startTransmission() {
   Pending next = std::move(queue_.front());
   queue_.pop_front();
   state_ = State::kTransmitting;
-  radio_.transmit(next.frame, next.mode);
+  radio_.transmit(std::move(next.frame), next.mode);
   ++sent_;
   const sim::SimTime done = radio_.transmitUntil() + sim::SimTime::micros(1.0);
   timer_ = sim_.scheduleAt(done, [this] {

@@ -1,6 +1,6 @@
 #include "mac/radio.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "mac/radio_environment.h"
 #include "util/assert.h"
@@ -17,11 +17,11 @@ Radio::Radio(sim::Simulator& sim, RadioEnvironment& environment, NodeId id,
 
 Radio::~Radio() { environment_.detach(this); }
 
-void Radio::transmit(const Frame& frame, channel::PhyMode mode) {
+void Radio::transmit(Frame frame, channel::PhyMode mode) {
   VANET_ASSERT(!transmitting(), "half-duplex radio is already transmitting");
-  Frame outgoing = frame;
-  outgoing.src = id_;
-  const sim::SimTime end = environment_.beginTransmission(*this, outgoing, mode);
+  frame.src = id_;
+  const sim::SimTime end =
+      environment_.beginTransmission(*this, std::move(frame), mode);
   txUntil_ = end;
   txHistory_.emplace_back(sim_.now(), end);
   ++framesSent_;
@@ -45,10 +45,13 @@ void Radio::onFrameCorrupted(const Frame& frame, const RxInfo& info) {
 }
 
 bool Radio::transmittedDuring(sim::SimTime start, sim::SimTime end) const {
-  return std::any_of(txHistory_.begin(), txHistory_.end(),
-                     [start, end](const auto& span) {
-                       return span.first < end && start < span.second;
-                     });
+  // Newest first: span ends only increase (see txHistory_), so once a span
+  // ended by `start`, every older one did too.
+  for (auto span = txHistory_.rbegin(); span != txHistory_.rend(); ++span) {
+    if (span->second <= start) return false;
+    if (span->first < end) return true;
+  }
+  return false;
 }
 
 }  // namespace vanet::mac

@@ -55,8 +55,10 @@ class Radio {
   sim::SimTime transmitUntil() const noexcept { return txUntil_; }
 
   /// Starts transmitting `frame`; requires the radio to be idle.
-  /// The caller (MAC) is responsible for medium access rules.
-  void transmit(const Frame& frame, channel::PhyMode mode);
+  /// The caller (MAC) is responsible for medium access rules. The frame
+  /// is moved through to the environment's in-flight record, so its
+  /// payload vectors are never copied on the way to the air.
+  void transmit(Frame frame, channel::PhyMode mode);
 
   void setRxCallback(RxCallback callback) { rxCallback_ = std::move(callback); }
 
@@ -101,6 +103,9 @@ class Radio {
   RxCallback corruptCallback_;
   sim::SimTime txUntil_{};
   std::size_t envSlot_ = 0;
+  /// Recent [start, end) transmit spans, oldest first. Half-duplex: a
+  /// span starts no earlier than the previous one ended, so both starts
+  /// and ends only increase.
   std::vector<std::pair<sim::SimTime, sim::SimTime>> txHistory_;
   std::uint64_t framesSent_ = 0;
   std::uint64_t framesReceived_ = 0;

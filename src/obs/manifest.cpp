@@ -4,6 +4,7 @@
 #include <iterator>
 #include <stdexcept>
 
+#include "util/file.h"
 #include "util/json.h"
 #include "util/log.h"
 
@@ -242,7 +243,7 @@ std::string manifestPathFor(const std::string& artifactPath) {
 
 bool writeManifestSidecar(const RunManifest& manifest) {
   const std::string path = manifestPathFor(manifest.artifact);
-  std::ofstream out(path);
+  std::ofstream out = util::openForRewrite(path);
   if (!out) {
     LOG_WARN("cannot open manifest sidecar " << path << " for writing");
     return false;

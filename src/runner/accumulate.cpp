@@ -12,6 +12,7 @@
 #include "obs/manifest.h"
 #include "runner/partial_binary.h"
 #include "trace/serialize.h"
+#include "util/file.h"
 #include "util/json.h"
 #include "util/log.h"
 
@@ -284,7 +285,7 @@ bool writeCampaignPartial(const std::string& path,
   const bool binary =
       format == PartialFormat::kBinary ||
       (format == PartialFormat::kAuto && partial.shard.count > 1);
-  std::ofstream out(path, std::ios::binary);
+  std::ofstream out = util::openForRewrite(path, std::ios::binary);
   if (!out) {
     LOG_ERROR("cannot open " << path << " for writing");
     return false;

@@ -8,6 +8,7 @@
 
 #include "analysis/csv.h"
 #include "obs/manifest.h"
+#include "util/file.h"
 #include "util/json.h"
 #include "util/log.h"
 
@@ -132,7 +133,7 @@ std::string campaignCsv(const CampaignResult& result) {
 }
 
 bool writeCampaignCsv(const std::string& path, const CampaignResult& result) {
-  std::ofstream out(path);
+  std::ofstream out = util::openForRewrite(path);
   if (!out) {
     LOG_ERROR("cannot open " << path << " for writing");
     return false;
@@ -221,7 +222,7 @@ std::string campaignJson(const CampaignResult& result) {
 }
 
 bool writeCampaignJson(const std::string& path, const CampaignResult& result) {
-  std::ofstream out(path);
+  std::ofstream out = util::openForRewrite(path);
   if (!out) {
     LOG_ERROR("cannot open " << path << " for writing");
     return false;
@@ -319,7 +320,7 @@ std::string figureSeriesCsv(const trace::FlowFigure& figure) {
 }
 
 bool writeFigureCsv(const std::string& path, const trace::FlowFigure& figure) {
-  std::ofstream out(path);
+  std::ofstream out = util::openForRewrite(path);
   if (!out) {
     LOG_ERROR("cannot open " << path << " for writing");
     return false;

@@ -5,14 +5,19 @@
 /// each laptop plus the AP transmission log. The analysis layer derives
 /// Table 1 and Figures 3-8 from these records alone, mirroring the
 /// paper's post-processing methodology.
+///
+/// Storage is dense: ids are interned into slots (the platoon's cars
+/// first, in `carIds` order; flows are car ids, so a slot serves both
+/// roles), and per-flow / per-(car, flow) state is indexed by SeqNo. Seqs
+/// start at 1 and stay dense per flow within a round, so a round's trace
+/// costs O(max seq) per flow.
 
-#include <map>
 #include <optional>
-#include <set>
 #include <utility>
 #include <vector>
 
 #include "sim/time.h"
+#include "util/seq_set.h"
 #include "util/types.h"
 
 namespace vanet::trace {
@@ -74,16 +79,33 @@ class RoundTrace {
   std::size_t txCount(FlowId flow) const;
 
  private:
+  /// Everything recorded about one interned id, as a flow and as a car.
+  struct Slot {
+    NodeId id = 0;
+    // As a flow: first-copy tx time by seq, with a "never sent" sentinel.
+    std::vector<sim::SimTime> txAt;
+    std::size_t txCount = 0;
+    SeqNo maxSeqTx = 0;
+    // As a car.
+    std::vector<util::SeqSet> overheard;  ///< by flow slot
+    util::SeqSet recovered;
+    std::optional<sim::SimTime> firstAnyRx;
+    sim::SimTime lastAnyRx{};
+    std::optional<sim::SimTime> firstOwnRx;
+    std::vector<sim::SimTime> ownRxTimes;  ///< sorted
+  };
+
+  /// Slot index of `id`; slots_.size() when it is neither a car nor was
+  /// ever recorded.
+  std::size_t slotOf(NodeId id) const noexcept;
+  const Slot* find(NodeId id) const noexcept;
+  /// Slot index of `id`, interning it when first seen.
+  std::size_t intern(NodeId id);
+  static bool overheardIn(const Slot& car, std::size_t flowSlot, SeqNo seq);
+
   std::vector<NodeId> carIds_;
-  // flow -> seq -> first-copy tx time (ordered by seq; tx is monotone).
-  std::map<FlowId, std::map<SeqNo, sim::SimTime>> tx_;
-  std::map<NodeId, std::map<FlowId, std::set<SeqNo>>> overheard_;
-  std::map<NodeId, std::set<SeqNo>> recovered_;
-  std::map<NodeId, sim::SimTime> firstOwnRx_;
-  std::map<NodeId, sim::SimTime> lastAnyRx_;
-  std::map<NodeId, sim::SimTime> firstAnyRx_;
-  std::map<NodeId, std::vector<sim::SimTime>> ownRxTimes_;
-  std::vector<sim::SimTime> emptyTimes_;
+  std::vector<Slot> slots_;
+  std::size_t carSlots_ = 0;  ///< slots_[0, carSlots_) are the platoon's
 };
 
 }  // namespace vanet::trace

@@ -1,0 +1,28 @@
+#pragma once
+
+/// \file file.h
+/// Output locations and whole-file artefact writes.
+
+#include <fstream>
+#include <ios>
+#include <string>
+
+namespace vanet::util {
+
+/// Opens `path` to receive its complete new contents. An existing regular
+/// file is unlinked first and a new one created, instead of truncating it
+/// in place: with ext4's default `auto_da_alloc`, truncating a file whose
+/// previous contents are still being written back blocks until that
+/// writeback ends, so rewriting an artefact in a loop stalls. Symlinks
+/// and other non-regular paths are opened (and truncated) as they are.
+/// This is not an atomic replace; the campaign checkpoint keeps its
+/// tmp+rename for that.
+std::ofstream openForRewrite(const std::string& path,
+                             std::ios::openmode mode = std::ios::out);
+
+/// Fails fast on an output location, before any work that would be lost:
+/// throws std::runtime_error naming `flag` and `dir` unless `dir` (empty =
+/// the working directory) is an existing directory.
+void requireOutputDir(const std::string& flag, const std::string& dir);
+
+}  // namespace vanet::util

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "../testing/medium_fixture.h"
 #include "mac/airtime.h"
 #include "obs/counters.h"
@@ -247,6 +250,97 @@ TEST(RadioEnvironmentDeathTest, DoubleTransmitAsserts) {
   EXPECT_DEATH(
       h.radio(0).transmit(MediumHarness::dataFrame(2, 2), PhyMode::kDsss1Mbps),
       "already transmitting");
+}
+
+/// Records the [start, end) span of every transmission of `radio` made at
+/// the scheduled `starts`.
+std::vector<std::pair<SimTime, SimTime>> transmitAt(
+    MediumHarness& h, Radio& radio, const std::vector<SimTime>& starts,
+    PhyMode mode = PhyMode::kCck11Mbps) {
+  std::vector<std::pair<SimTime, SimTime>> spans;
+  for (const SimTime start : starts) {
+    h.sim().scheduleAt(start, [&h, &radio, &spans, mode] {
+      radio.transmit(MediumHarness::dataFrame(2, 1, 100), mode);
+      spans.emplace_back(h.sim().now(), radio.transmitUntil());
+    });
+  }
+  h.sim().run();
+  return spans;
+}
+
+bool overlapsAny(const std::vector<std::pair<SimTime, SimTime>>& spans,
+                 SimTime start, SimTime end) {
+  for (const auto& [first, second] : spans) {
+    if (first < end && start < second) return true;
+  }
+  return false;
+}
+
+TEST(RadioTransmittedDuringTest, TouchingSpans) {
+  // [a, b] then [b, c]: the second frame starts the instant the first
+  // ends. Windows ending at a or starting at c touch but do not overlap.
+  MediumHarness h;
+  h.addRadio(1, {0.0, 0.0});
+  const SimTime a = SimTime::millis(1.0);
+  const SimTime airtime = frameAirtime(PhyMode::kCck11Mbps, 100);
+  const auto spans = transmitAt(h, h.radio(0), {a, a + airtime});
+  ASSERT_EQ(spans.size(), 2u);
+  const SimTime b = spans[0].second;
+  ASSERT_EQ(spans[1].first, b);
+  const SimTime c = spans[1].second;
+  const SimTime ns = SimTime::nanos(1);
+  const Radio& radio = h.radio(0);
+  EXPECT_FALSE(radio.transmittedDuring(a - airtime, a));
+  EXPECT_TRUE(radio.transmittedDuring(a - airtime, a + ns));
+  EXPECT_TRUE(radio.transmittedDuring(b, b + ns));
+  EXPECT_TRUE(radio.transmittedDuring(b - ns, b));
+  EXPECT_TRUE(radio.transmittedDuring(c - ns, c + airtime));
+  EXPECT_FALSE(radio.transmittedDuring(c, c + airtime));
+  for (const SimTime start :
+       {a - ns, a, a + ns, b - ns, b, b + ns, c - ns, c}) {
+    for (const SimTime end : {a, a + ns, b - ns, b, b + ns, c, c + ns}) {
+      EXPECT_EQ(radio.transmittedDuring(start, end),
+                overlapsAny(spans, start, end))
+          << start << " .. " << end;
+    }
+  }
+}
+
+TEST(RadioTransmittedDuringTest, LongHistoryMatchesFullScan) {
+  // Hundreds of spans inside the 1 s history, with gaps from zero
+  // (touching) to a few airtimes; every query agrees with a full scan.
+  MediumHarness h;
+  h.addRadio(1, {0.0, 0.0});
+  Rng rng{11};
+  const SimTime airtime = frameAirtime(PhyMode::kCck11Mbps, 100);
+  std::vector<SimTime> starts;
+  SimTime at = SimTime::millis(1.0);
+  for (int i = 0; i < 400; ++i) {
+    starts.push_back(at);
+    const int gapNs = rng.bernoulli(0.2) ? 0 : rng.uniformInt(1, 2'000'000);
+    at = at + airtime + SimTime::nanos(gapNs);
+  }
+  const auto spans = transmitAt(h, h.radio(0), starts);
+  ASSERT_EQ(spans.size(), starts.size());
+  ASSERT_LT(spans.back().second - spans.front().first, SimTime::seconds(1.0));
+  const Radio& radio = h.radio(0);
+  const auto horizonUs =
+      static_cast<int>((spans.back().second + airtime).ns() / 1000);
+  for (int q = 0; q < 5000; ++q) {
+    const SimTime start = SimTime::micros(rng.uniformInt(0, horizonUs));
+    const SimTime end = start + SimTime::nanos(rng.uniformInt(1, 3'000'000));
+    ASSERT_EQ(radio.transmittedDuring(start, end),
+              overlapsAny(spans, start, end))
+        << start << " .. " << end;
+  }
+  // Exact span edges.
+  for (const auto& [first, second] : spans) {
+    for (const SimTime start : {first - airtime, first, second}) {
+      const SimTime end = start + airtime;
+      ASSERT_EQ(radio.transmittedDuring(start, end),
+                overlapsAny(spans, start, end));
+    }
+  }
 }
 
 }  // namespace

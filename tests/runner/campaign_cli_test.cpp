@@ -1,0 +1,104 @@
+// vanet_campaign fails fast on unusable output paths: the error names the
+// flag and the path, the exit status is nonzero, and no job runs (no
+// `--progress` line, which the first finished job always prints, and no
+// `--checkpoint` file, which every wave barrier writes).
+
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
+
+namespace {
+
+namespace fs = std::filesystem;
+
+struct CliRun {
+  int status = 0;
+  std::string output;  ///< stdout + stderr
+};
+
+class CampaignCliTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = fs::temp_directory_path() /
+           ("vanet_campaign_cli_" +
+            std::string(::testing::UnitTest::GetInstance()
+                            ->current_test_info()
+                            ->name()));
+    fs::remove_all(dir_);
+    fs::create_directories(dir_);
+  }
+  void TearDown() override { fs::remove_all(dir_); }
+
+  /// Runs `vanet_campaign run ablation_speed.json <flags> --progress
+  /// --checkpoint=<dir>/ck.bin`.
+  CliRun run(const std::string& flags) const {
+    const fs::path log = dir_ / "cli.log";
+    const std::string command =
+        std::string(VANET_CAMPAIGN_BIN) + " run " + VANET_SPEC_DIR +
+        "/ablation_speed.json " + flags + " --progress --checkpoint=" +
+        checkpoint().string() + " > " + log.string() + " 2>&1";
+    CliRun result;
+    result.status = std::system(command.c_str());
+    std::ifstream in(log);
+    result.output.assign(std::istreambuf_iterator<char>(in),
+                         std::istreambuf_iterator<char>());
+    return result;
+  }
+
+  fs::path checkpoint() const { return dir_ / "ck.bin"; }
+  bool anyJobRan(const CliRun& result) const {
+    return result.output.find("progress: jobs") != std::string::npos ||
+           fs::exists(checkpoint());
+  }
+
+  fs::path dir_;
+};
+
+TEST_F(CampaignCliTest, MissingCsvDirFailsBeforeAnyJob) {
+  const std::string missing = (dir_ / "missing" / "dir").string();
+  const CliRun result = run("--csv=" + missing);
+  EXPECT_NE(result.status, 0);
+  EXPECT_NE(result.output.find("error: --csv: output directory '" + missing +
+                               "' does not exist"),
+            std::string::npos)
+      << result.output;
+  EXPECT_FALSE(anyJobRan(result)) << result.output;
+}
+
+TEST_F(CampaignCliTest, CsvPathThatIsAFileFailsBeforeAnyJob) {
+  const fs::path file = dir_ / "plain_file";
+  std::ofstream(file) << "x";
+  const CliRun result = run("--csv=" + file.string());
+  EXPECT_NE(result.status, 0);
+  EXPECT_NE(result.output.find("is not a directory"), std::string::npos)
+      << result.output;
+  EXPECT_FALSE(anyJobRan(result)) << result.output;
+}
+
+TEST_F(CampaignCliTest, MissingPartialOutParentFailsBeforeAnyJob) {
+  const fs::path missing = dir_ / "missing";
+  const CliRun result =
+      run("--partial-out=" + (missing / "partial.bin").string());
+  EXPECT_NE(result.status, 0);
+  EXPECT_NE(result.output.find("error: --partial-out: output directory '" +
+                               missing.string() + "' does not exist"),
+            std::string::npos)
+      << result.output;
+  EXPECT_FALSE(anyJobRan(result)) << result.output;
+}
+
+TEST_F(CampaignCliTest, UsableOutputPathsRunTheCampaign) {
+  // The control: the same command with existing directories runs jobs,
+  // so the probes above would have seen them.
+  const CliRun result = run("--csv=" + dir_.string() + " --partial-out=" +
+                            (dir_ / "partial.bin").string());
+  EXPECT_EQ(result.status, 0) << result.output;
+  EXPECT_TRUE(anyJobRan(result)) << result.output;
+  EXPECT_TRUE(fs::exists(dir_ / "partial.bin"));
+}
+
+}  // namespace
