@@ -14,15 +14,12 @@
 ///   --round-threads=N  round workers inside each job (1 = serial)
 ///   --csv=DIR        also write CSV/JSON outputs into DIR
 ///   --shard=i/N      run only shard i of N (whole grid points)
-///   --partial-out=F  write this shard's partial result to F
-///   --partial-format=bin|json  partial encoding (default: binary for
-///                    --shard runs, JSON otherwise)
+///   --partial-out=F  write this shard's binary partial result to F
 ///   --checkpoint=F   write a binary checkpoint partial at every wave
 ///                    barrier (atomically; resume point after a kill)
 ///   --resume         restore from --checkpoint=F and continue; final
 ///                    artifacts byte-match the uninterrupted run
 ///   --halt-after-waves=K  stop after K wave barriers (kill simulation)
-///   --streaming      bounded-memory streaming accumulation
 ///   --target-ci=X    adaptive replication: per grid point, keep
 ///                    replicating in doubling waves until the 95 % CI
 ///                    half-width of the target metric / |mean| <= X
@@ -65,7 +62,6 @@ inline runner::CampaignConfig campaignFromFlags(const Flags& flags,
   config.threads = run.threads;
   config.roundThreads = run.roundThreads;
   config.shard = runner::Shard{run.shard.index, run.shard.count};
-  config.streaming = run.streaming;
   config.progress = run.progress;
   config.checkpointPath = run.checkpoint;
   config.resume = run.resume;
@@ -135,25 +131,18 @@ inline void applyUrbanFlags(const Flags& flags, runner::ParamSet& base) {
   }
 }
 
-/// Writes the shard's partial-result file when --partial-out is given
-/// (--partial-format selects the encoding; the default is binary v3 for
-/// --shard runs and JSON otherwise). Only reached on a successful run: a
-/// failed campaign throws out of runCampaign before any summary exists,
-/// so a shard file is never truncated. A failed *write* exits non-zero --
-/// a shard pipeline must never see success next to a missing or stale
-/// partial file. Halted runs (--halt-after-waves) skip the write: their
-/// state lives in the checkpoint file.
+/// Writes the shard's binary partial-result file when --partial-out is
+/// given. Only reached on a successful run: a failed campaign throws out
+/// of runCampaign before any summary exists, so a shard file is never
+/// truncated. A failed *write* exits non-zero -- a shard pipeline must
+/// never see success next to a missing or stale partial file. Halted
+/// runs (--halt-after-waves) skip the write: their state lives in the
+/// checkpoint file.
 inline void maybeWritePartial(const Flags& flags,
                               const runner::CampaignResult& result) {
   const std::string path = flags.getString("partial-out", "");
   if (path.empty() || result.halted) return;
-  const std::string formatName = flags.getString("partial-format", "");
-  const runner::PartialFormat format =
-      formatName == "bin"    ? runner::PartialFormat::kBinary
-      : formatName == "json" ? runner::PartialFormat::kJson
-                             : runner::PartialFormat::kAuto;
-  if (!runner::writeCampaignPartial(path, runner::campaignPartial(result),
-                                    format)) {
+  if (!runner::writeCampaignPartial(path, runner::campaignPartial(result))) {
     std::exit(1);
   }
   std::cout << "wrote " << path << "\n";

@@ -332,19 +332,15 @@ runner::CampaignPartial syntheticPartial(int shardIndex, int shardCount,
   return partial;
 }
 
-/// Serializes every shard once per repetition (in memory, both formats --
-/// no disk noise in the timing).
+/// Serializes every shard once per repetition (in memory -- no disk
+/// noise in the timing).
 RunningStats timePartialWrite(
-    const std::vector<runner::CampaignPartial>& shards, int iters,
-    bool binary) {
+    const std::vector<runner::CampaignPartial>& shards, int iters) {
   RunningStats wall;
   for (int it = 0; it < iters; ++it) {
     const auto start = Clock::now();
     for (const runner::CampaignPartial& shard : shards) {
-      const std::string bytes = binary
-                                    ? runner::campaignPartialBinary(shard)
-                                    : runner::campaignPartialJson(shard);
-      gSink += bytes.size();
+      gSink += runner::campaignPartialBinary(shard).size();
     }
     wall.add(secondsSince(start));
   }
@@ -352,17 +348,16 @@ RunningStats timePartialWrite(
 }
 
 /// Parses every serialized shard and folds them back into the full grid
-/// once per repetition -- the campaign_merge hot path, both formats.
+/// once per repetition -- the campaign_merge hot path.
 RunningStats timePartialMerge(const std::vector<std::string>& shardBytes,
-                              int iters, bool binary) {
+                              int iters) {
   RunningStats wall;
   for (int it = 0; it < iters; ++it) {
     const auto start = Clock::now();
     std::vector<runner::CampaignPartial> partials;
     partials.reserve(shardBytes.size());
     for (const std::string& bytes : shardBytes) {
-      partials.push_back(binary ? runner::parseCampaignPartialBinary(bytes)
-                                : runner::parseCampaignPartial(bytes));
+      partials.push_back(runner::parseCampaignPartialBinary(bytes));
     }
     const std::vector<runner::GridPointSummary> merged =
         runner::mergeCampaignPartials(std::move(partials));
@@ -487,34 +482,22 @@ int main(int argc, char** argv) {
              timeHighwayRound(iters, run.seed), 0, "");
 
   // Campaign-partial serialization: a synthetic 4-shard, 256-point
-  // campaign with production-shaped records, written and merged in both
-  // formats. The bin/json ratios are the Table-1 numbers behind making
-  // binary the --shard default.
+  // campaign with production-shaped records, written and merged.
   const int kShardCount = 4;
   const int kPointsPerShard = 64;
   std::vector<runner::CampaignPartial> shards;
-  std::vector<std::string> jsonShards;
   std::vector<std::string> binShards;
   for (int s = 0; s < kShardCount; ++s) {
     shards.push_back(
         syntheticPartial(s, kShardCount, kPointsPerShard, run.seed));
-    jsonShards.push_back(runner::campaignPartialJson(shards.back()));
     binShards.push_back(runner::campaignPartialBinary(shards.back()));
   }
   const double partialPoints =
       static_cast<double>(kShardCount) * kPointsPerShard;
-  timeKernel("partial_write_json", "partial write json (256 pts)",
-             timePartialWrite(shards, iters, /*binary=*/false), partialPoints,
-             "points");
   timeKernel("partial_write_bin", "partial write bin (256 pts)",
-             timePartialWrite(shards, iters, /*binary=*/true), partialPoints,
-             "points");
-  timeKernel("partial_merge_json", "partial merge json (4 shards)",
-             timePartialMerge(jsonShards, iters, /*binary=*/false),
-             partialPoints, "points");
+             timePartialWrite(shards, iters), partialPoints, "points");
   timeKernel("partial_merge_bin", "partial merge bin (4 shards)",
-             timePartialMerge(binShards, iters, /*binary=*/true),
-             partialPoints, "points");
+             timePartialMerge(binShards, iters), partialPoints, "points");
 
   // Experiment-level wall: the round engine at --round-threads workers
   // against the serial fold (same bytes, fewer seconds).

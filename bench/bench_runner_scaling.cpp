@@ -6,14 +6,11 @@
 /// guarantee: results depend on (config, master seed) only, never on
 /// scheduling).
 ///
-/// Six modes:
+/// Five modes:
 ///   default     highway speed x coop grid; compares campaignPointsJson()
 ///   --figures   urban campaign carrying FlowFigure series; compares the
 ///               emitted figure CSVs (exercises FlowFigure::merge, the
 ///               path the figure benches rely on)
-///   --batched   streaming (bounded-memory) execution at each thread
-///               count against the buffered serial reference; also
-///               reports the reordering-window high-water mark
 ///   --shard     splits the campaign into 2 and 3 shards, folds the
 ///               partials back with the merge pipeline, and compares
 ///               against the unsharded single-thread run
@@ -24,9 +21,9 @@
 ///   --adaptive  CI95-targeted replication (--target-ci / --min-reps /
 ///               --max-reps): the wave schedule must be a pure function
 ///               of the fold state, so the adaptive campaign is
-///               byte-compared at 1/2/N threads, under streaming, and
-///               reassembled from 2 shard processes; also reports the
-///               per-point replications used and achieved CI95
+///               byte-compared at 1/2/N threads and reassembled from 2
+///               shard processes; also reports the per-point
+///               replications used and achieved CI95
 /// Every mode exits non-zero if any variant changes the bytes.
 
 #include <algorithm>
@@ -37,6 +34,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "runner/partial_binary.h"
 #include "util/thread_pool.h"
 
 namespace {
@@ -67,8 +65,8 @@ vanet::runner::CampaignResult runSharded(vanet::runner::CampaignConfig config,
     const vanet::runner::CampaignResult result =
         vanet::runner::runCampaign(config);
     // Round-trip the bytes a shard process would write to disk.
-    partials.push_back(vanet::runner::parseCampaignPartial(
-        vanet::runner::campaignPartialJson(
+    partials.push_back(vanet::runner::parseCampaignPartialBinary(
+        vanet::runner::campaignPartialBinary(
             vanet::runner::campaignPartial(result))));
   }
   return vanet::runner::resultFromPartials(std::move(partials));
@@ -109,14 +107,13 @@ int runShardMode(vanet::runner::CampaignConfig campaign) {
 /// --adaptive: the campaign stops each grid point at its CI95 target, so
 /// the interesting claim is that the *stop decisions* -- not just the
 /// merged stats -- are identical however the jobs are scheduled. Runs
-/// the same adaptive campaign at 1, 2 and N threads (buffered), N
-/// threads streaming, and as 2 shard processes folded through the
-/// partial-file round trip; byte-compares points JSON + campaign CSV of
-/// every variant against the serial reference.
+/// the same adaptive campaign at 1, 2 and N threads and as 2 shard
+/// processes folded through the partial-file round trip; byte-compares
+/// points JSON + campaign CSV of every variant against the serial
+/// reference.
 int runAdaptiveMode(vanet::runner::CampaignConfig campaign) {
   namespace runner = vanet::runner;
   campaign.threads = 1;
-  campaign.streaming = false;
   campaign.shard = runner::Shard{};
   const runner::CampaignResult reference = runner::runCampaign(campaign);
   const std::string referenceJson = runner::campaignPointsJson(reference);
@@ -155,14 +152,11 @@ int runAdaptiveMode(vanet::runner::CampaignConfig campaign) {
     campaign.threads = threads;
     check("threads=" + std::to_string(threads), runner::runCampaign(campaign));
   }
-  campaign.streaming = true;
-  check("streaming", runner::runCampaign(campaign));
-  campaign.streaming = false;
   campaign.threads = 2;
   check("2 shards + merge", runSharded(campaign, 2));
 
-  std::cout << "\nadaptive campaign bit-identical across threads, streaming"
-               " and shards: "
+  std::cout << "\nadaptive campaign bit-identical across threads and"
+               " shards: "
             << (allIdentical ? "yes" : "NO") << "\n";
   std::cout << "expected shape: reps used varies per point (noisy points"
                " replicate further);\nthe identical column must read yes"
@@ -242,9 +236,8 @@ int main(int argc, char** argv) {
   using namespace vanet;
   const Flags flags(argc, argv);
   flags.allowOnly(bench::benchFlagNames(
-      {"figures", "batched", "adaptive", "laps", "max-threads"}));
+      {"figures", "adaptive", "laps", "max-threads"}));
   const bool figures = flags.getBool("figures", false);
-  const bool batched = flags.getBool("batched", false);
   const bool adaptive = flags.getBool("adaptive", false);
   const bool shardMode = flags.getString("shard", "") == "true";
   // A bare `--rounds` selects the round-engine mode; `--rounds=N` stays
@@ -252,7 +245,6 @@ int main(int argc, char** argv) {
   const bool roundsMode = flags.getString("rounds", "") == "true";
   bench::printHeader(
       figures    ? "Campaign engine: figure-series merge determinism"
-      : batched  ? "Campaign engine: streaming (bounded-memory) determinism"
       : adaptive ? "Campaign engine: adaptive (CI95-targeted) replication "
                    "determinism"
       : shardMode? "Campaign engine: shard + merge determinism"
@@ -309,20 +301,17 @@ int main(int argc, char** argv) {
             << " jobs (hardware concurrency: " << hardware << ")\n\n";
   std::cout << std::left << std::setw(10) << "threads" << std::right
             << std::setw(12) << "wall s" << std::setw(12) << "jobs/s"
-            << std::setw(12) << "speedup" << std::setw(16) << "identical";
-  if (batched) std::cout << std::setw(14) << "peak buffered";
-  std::cout << "\n";
+            << std::setw(12) << "speedup" << std::setw(16) << "identical"
+            << "\n";
 
-  // The reference is always the buffered serial run; --batched then pits
-  // the streaming backend against it at every thread count.
-  campaign.streaming = false;
+  // The reference is the serial run: its single worker claims and folds
+  // jobs strictly in index order.
   std::string reference;
   double serialWall = 0.0;
   bool allIdentical = true;
   bool first = true;
   for (const int threads : threadCounts) {
     campaign.threads = threads;
-    campaign.streaming = batched && !first;
     const runner::CampaignResult result = runner::runCampaign(campaign);
     const std::string merged = figures ? allFigureCsvs(result)
                                        : runner::campaignPointsJson(result);
@@ -337,31 +326,15 @@ int main(int argc, char** argv) {
               << std::fixed << std::setprecision(2) << std::setw(12)
               << result.wallSeconds << std::setw(12) << result.jobsPerSecond
               << std::setw(11) << serialWall / result.wallSeconds << "x"
-              << std::setw(16) << (identical ? "yes" : "NO");
-    if (batched) {
-      std::cout << std::setw(10) << result.peakBufferedResults
-                << (result.streaming ? " (cap " +
-                        std::to_string(runner::streamingWindowCap(threads)) +
-                        ")"
-                                     : " (all)");
-    }
-    std::cout << "\n";
+              << std::setw(16) << (identical ? "yes" : "NO") << "\n";
   }
   std::cout << "\n"
             << (figures ? "figure CSVs" : "merged output")
-            << " bit-identical across "
-            << (batched ? "backends and thread counts" : "thread counts")
-            << ": " << (allIdentical ? "yes" : "NO") << "\n";
-  if (batched) {
-    std::cout << "expected shape: streaming folds through a reordering"
-                 " window of at most\nstreamingWindowCap(threads) parked"
-                 " results (O(threads), not O(jobs)) and still\nmatches the"
-                 " buffered reference byte for byte\n";
-  } else {
-    std::cout << "expected shape: jobs/s scales with threads up to the core"
-                 " count; the identical\ncolumn must read yes everywhere --"
-                 " the merge is in job order and every job owns\na private"
-                 " RNG stream hashed from (master seed, job index)\n";
-  }
+            << " bit-identical across thread counts: "
+            << (allIdentical ? "yes" : "NO") << "\n";
+  std::cout << "expected shape: jobs/s scales with threads up to the core"
+               " count; the identical\ncolumn must read yes everywhere --"
+               " the merge is in job order and every job owns\na private"
+               " RNG stream hashed from (master seed, job index)\n";
   return allIdentical ? 0 : 1;
 }

@@ -1,17 +1,15 @@
 /// \file campaign_merge.cpp
 /// Folds campaign shard partials back into the full campaign result.
-/// Each shard process runs `--shard=i/N --partial-out=shard_i.part`;
+/// Each shard process runs `--shard=i/N --partial-out=shard_i.vpart`;
 /// this tool validates the set (same campaign, every shard present,
 /// full grid coverage) and re-emits the merged artefacts -- byte-for-byte
 /// identical to what the single-process run would have written.
 ///
-///   $ ./example_campaign_merge shard_0.part shard_1.part
+///   $ ./example_campaign_merge shard_0.vpart shard_1.vpart
 ///       [--csv=FILE] [--json=FILE] [--figures-dir=DIR --figures-base=B]
 ///
-/// Shard files may be binary v3 or JSON v1/v2 (mixed freely; the format
-/// is auto-detected per file). Binary shards stream point-by-point
-/// through a bounded record buffer -- the fast path for many-point
-/// campaigns -- while JSON falls back to the DOM reader.
+/// Shard files are binary v3 partials; each streams point-by-point
+/// through a bounded record buffer.
 ///
 /// With no output flags the tool just validates and prints the merged
 /// point count (useful as a shard-set integrity check).

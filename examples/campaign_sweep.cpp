@@ -6,7 +6,7 @@
 ///   $ ./example_campaign_sweep [--repl=4] [--threads=0] [--seed=2008]
 ///       [--round-threads=1] (round workers inside each job)
 ///       [--out=DIR] (write DIR/campaign.csv and DIR/campaign.json)
-///       [--shard=i/N] [--partial-out=FILE] [--streaming]
+///       [--shard=i/N] [--partial-out=FILE]
 ///
 /// With --shard/--partial-out this runs one slice of the grid and writes
 /// a partial-result file for example_campaign_merge -- the two-process
@@ -46,7 +46,6 @@ int main(int argc, char** argv) {
   campaign.threads = run.threads;
   campaign.roundThreads = run.roundThreads;
   campaign.shard = runner::Shard{run.shard.index, run.shard.count};
-  campaign.streaming = run.streaming;
   campaign.progress = run.progress;
   campaign.checkpointPath = run.checkpoint;
   campaign.resume = run.resume;
@@ -76,15 +75,10 @@ int main(int argc, char** argv) {
   std::cout << runner::renderCampaignSummary(result, campaign.grid);
 
   if (!run.partialOut.empty()) {
-    const runner::PartialFormat format =
-        run.partialFormat == "bin"    ? runner::PartialFormat::kBinary
-        : run.partialFormat == "json" ? runner::PartialFormat::kJson
-                                      : runner::PartialFormat::kAuto;
     // A failed partial write must fail the process: the merge step would
     // otherwise happily pick up a stale file from an earlier run.
     if (!runner::writeCampaignPartial(run.partialOut,
-                                      runner::campaignPartial(result),
-                                      format)) {
+                                      runner::campaignPartial(result))) {
       return 1;
     }
     std::cout << "wrote " << run.partialOut << "\n";

@@ -8,10 +8,9 @@
 ///       Runs the spec. The experiment definition (scenario, cases,
 ///       grid, seed, replication policy, emit list) lives entirely in
 ///       the spec; the flags steer only the engine:
-///         --threads=N --round-threads=N --shard=i/N --streaming
+///         --threads=N --round-threads=N --shard=i/N
 ///         --checkpoint=F --resume --halt-after-waves=K
-///         --partial-out=F --partial-format=bin|json
-///         --progress --log-level=L
+///         --partial-out=F --progress --log-level=L
 ///       With --csv=DIR the spec's emit list is written into DIR, every
 ///       artefact with a manifest sidecar recording the spec path and
 ///       the digest of its normalized rendering. DIR and the directories
@@ -84,9 +83,9 @@ int main(int argc, char** argv) {
   // Engine knobs only: the experiment definition is the spec's. No
   // --seed / --rounds / --target-ci here by design -- edit the spec.
   std::vector<std::string> known = {
-      "threads",    "round-threads",    "shard",     "partial-out",
-      "partial-format", "checkpoint",   "resume",    "halt-after-waves",
-      "streaming",  "progress",         "log-level", "csv"};
+      "threads",    "round-threads", "shard",     "partial-out",
+      "checkpoint", "resume",        "halt-after-waves",
+      "progress",   "log-level",     "csv"};
   flags.allowOnly(known);
 
   runner::CampaignSpec spec;
@@ -142,13 +141,8 @@ int main(int argc, char** argv) {
   std::cout << runner::renderCampaignSummary(result, config.grid);
 
   if (!run.partialOut.empty()) {
-    const runner::PartialFormat format =
-        run.partialFormat == "bin"    ? runner::PartialFormat::kBinary
-        : run.partialFormat == "json" ? runner::PartialFormat::kJson
-                                      : runner::PartialFormat::kAuto;
     if (!runner::writeCampaignPartial(run.partialOut,
-                                      runner::campaignPartial(result),
-                                      format)) {
+                                      runner::campaignPartial(result))) {
       return 1;
     }
     std::cout << "wrote " << run.partialOut << "\n";

@@ -1,58 +1,19 @@
 #include "analysis/csv.h"
 
 #include <algorithm>
-#include <fstream>
+#include <sstream>
 
 #include "util/file.h"
 #include "util/log.h"
 
 namespace vanet::analysis {
-
-bool writeSeriesCsv(const std::string& path, const std::string& indexName,
-                    const std::vector<std::string>& headers,
-                    const std::vector<std::vector<double>>& columns) {
-  std::ofstream out = util::openForRewrite(path);
-  if (!out) {
-    LOG_ERROR("cannot open " << path << " for writing");
-    return false;
-  }
-  out << indexName;
-  for (const auto& header : headers) out << "," << header;
-  out << "\n";
-  std::size_t maxLen = 0;
-  for (const auto& column : columns) maxLen = std::max(maxLen, column.size());
-  for (std::size_t i = 0; i < maxLen; ++i) {
-    out << (i + 1);
-    for (const auto& column : columns) {
-      out << ",";
-      if (i < column.size()) out << column[i];
-    }
-    out << "\n";
-  }
-  return static_cast<bool>(out);
-}
-
-bool writeTable1Csv(const std::string& path, const trace::Table1Data& data) {
-  std::ofstream out = util::openForRewrite(path);
-  if (!out) {
-    LOG_ERROR("cannot open " << path << " for writing");
-    return false;
-  }
-  out << "car,tx_by_ap_mean,tx_by_ap_sd,lost_before_mean,lost_before_sd,"
-         "pct_before,lost_after_mean,lost_after_sd,pct_after,"
-         "lost_joint_mean,pct_joint\n";
-  for (const auto& row : data.rows) {
-    out << row.car << "," << row.txByAp.mean() << "," << row.txByAp.stddev()
-        << "," << row.lostBefore.mean() << "," << row.lostBefore.stddev()
-        << "," << row.pctLostBefore.mean() << "," << row.lostAfter.mean()
-        << "," << row.lostAfter.stddev() << "," << row.pctLostAfter.mean()
-        << "," << row.lostJoint.mean() << "," << row.pctLostJoint.mean()
-        << "\n";
-  }
-  return static_cast<bool>(out);
-}
-
 namespace {
+
+bool writeCsv(const std::string& path, const std::string& text) {
+  if (util::writeFile(path, text)) return true;
+  LOG_ERROR("cannot write " << path);
+  return false;
+}
 
 void appendCell(std::string& out, const std::string& cell) {
   if (cell.find_first_of(",\"\n") == std::string::npos) {
@@ -68,6 +29,42 @@ void appendCell(std::string& out, const std::string& cell) {
 }
 
 }  // namespace
+
+bool writeSeriesCsv(const std::string& path, const std::string& indexName,
+                    const std::vector<std::string>& headers,
+                    const std::vector<std::vector<double>>& columns) {
+  std::ostringstream out;
+  out << indexName;
+  for (const auto& header : headers) out << "," << header;
+  out << "\n";
+  std::size_t maxLen = 0;
+  for (const auto& column : columns) maxLen = std::max(maxLen, column.size());
+  for (std::size_t i = 0; i < maxLen; ++i) {
+    out << (i + 1);
+    for (const auto& column : columns) {
+      out << ",";
+      if (i < column.size()) out << column[i];
+    }
+    out << "\n";
+  }
+  return writeCsv(path, out.str());
+}
+
+bool writeTable1Csv(const std::string& path, const trace::Table1Data& data) {
+  std::ostringstream out;
+  out << "car,tx_by_ap_mean,tx_by_ap_sd,lost_before_mean,lost_before_sd,"
+         "pct_before,lost_after_mean,lost_after_sd,pct_after,"
+         "lost_joint_mean,pct_joint\n";
+  for (const auto& row : data.rows) {
+    out << row.car << "," << row.txByAp.mean() << "," << row.txByAp.stddev()
+        << "," << row.lostBefore.mean() << "," << row.lostBefore.stddev()
+        << "," << row.pctLostBefore.mean() << "," << row.lostAfter.mean()
+        << "," << row.lostAfter.stddev() << "," << row.pctLostAfter.mean()
+        << "," << row.lostJoint.mean() << "," << row.pctLostJoint.mean()
+        << "\n";
+  }
+  return writeCsv(path, out.str());
+}
 
 std::string renderCsv(const std::vector<std::string>& headers,
                       const std::vector<std::vector<std::string>>& rows) {
@@ -90,13 +87,7 @@ std::string renderCsv(const std::vector<std::string>& headers,
 bool writeRowsCsv(const std::string& path,
                   const std::vector<std::string>& headers,
                   const std::vector<std::vector<std::string>>& rows) {
-  std::ofstream out = util::openForRewrite(path);
-  if (!out) {
-    LOG_ERROR("cannot open " << path << " for writing");
-    return false;
-  }
-  out << renderCsv(headers, rows);
-  return static_cast<bool>(out);
+  return writeCsv(path, renderCsv(headers, rows));
 }
 
 }  // namespace vanet::analysis

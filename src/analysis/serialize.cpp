@@ -1,10 +1,10 @@
 #include "analysis/serialize.h"
 
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "trace/serialize.h"
+#include "util/json.h"
 
 namespace vanet::analysis {
 namespace {
@@ -52,18 +52,6 @@ std::string protocolTotalsToJson(const ProtocolTotals& totals) {
   }
   out += "}}";
   return out;
-}
-
-ProtocolTotals protocolTotalsFromJson(const json::Value& value) {
-  ProtocolTotals totals;
-  for (const auto& [name, field] : totalsColumns()) {
-    totals.*field = trace::runningStatsFromJson(value.at(name));
-  }
-  const json::Value& medium = value.at("medium");
-  for (const auto& [name, field] : mediumColumns()) {
-    totals.medium.*field = medium.at(name).asUInt64();
-  }
-  return totals;
 }
 
 void protocolTotalsToBin(util::BinWriter& out, const ProtocolTotals& totals) {

@@ -1,29 +1,24 @@
 #pragma once
 
 /// \file serialize.h
-/// JSON (de)serialization of the analysis-layer merge states
-/// (ProtocolTotals with its embedded mac::MediumStats counters), used by
-/// the campaign partial-result format. Like the trace serializers, the
-/// full merge-state round-trips bit-identically.
+/// Serialization of the analysis-layer merge states (ProtocolTotals with
+/// its embedded mac::MediumStats counters). Like the trace serializers,
+/// the binary pair round-trips the full merge state bit-identically for
+/// the campaign partial format, and the JSON rendering is write-only.
 
 #include <string>
 
 #include "analysis/experiment.h"
 #include "util/binio.h"
-#include "util/json.h"
 
 namespace vanet::analysis {
 
 /// ProtocolTotals as a JSON object.
 std::string protocolTotalsToJson(const ProtocolTotals& totals);
 
-/// Parses protocolTotalsToJson() output; throws std::runtime_error on
-/// malformed input.
-ProtocolTotals protocolTotalsFromJson(const json::Value& value);
-
-/// Binary twins for the compact campaign-partial format v3; same column
-/// lists as the JSON pair (writer and reader cannot drift), raw IEEE-754
-/// doubles (bit-exact by construction).
+/// Binary writer/reader pair for the campaign partial format v3; same
+/// column lists as the JSON rendering (writer and reader cannot drift),
+/// raw IEEE-754 doubles (bit-exact by construction).
 void protocolTotalsToBin(util::BinWriter& out, const ProtocolTotals& totals);
 ProtocolTotals protocolTotalsFromBin(util::BinReader& in);
 

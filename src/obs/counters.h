@@ -20,8 +20,8 @@
 ///  3. *Deterministic snapshots where the workload is deterministic.*
 ///     snapshot() returns name-sorted totals; counters that count
 ///     simulation work (events dispatched, frames delivered, ...) are
-///     byte-stable across --threads / --round-threads / --streaming /
-///     shards because the jobs themselves are. Scheduling-dependent
+///     byte-stable across --threads / --round-threads / shards
+///     because the jobs themselves are. Scheduling-dependent
 ///     counters (reorder-window stalls) and all timers are measurements
 ///     of *this* run, not of the workload, and are excluded from any
 ///     determinism claim.

@@ -171,8 +171,6 @@ std::string manifestJson(const RunManifest& manifest) {
   out += "\"round_threads\":" + std::to_string(manifest.roundThreads) + ",\n";
   out += "\"shard_index\":" + std::to_string(manifest.shardIndex) + ",\n";
   out += "\"shard_count\":" + std::to_string(manifest.shardCount) + ",\n";
-  out += std::string("\"streaming\":") +
-         (manifest.streaming ? "true" : "false") + ",\n";
   out += "\"target_ci\":" + num(manifest.targetCi) + ",\n";
   out += "\"target_metric\":" + quote(manifest.targetMetric) + ",\n";
   out += "\"wall_seconds\":" + num(manifest.wallSeconds) + ",\n";
@@ -212,7 +210,6 @@ RunManifest manifestFromJson(const std::string& text) {
   manifest.roundThreads = static_cast<int>(doc.at("round_threads").asInt64());
   manifest.shardIndex = static_cast<int>(doc.at("shard_index").asInt64());
   manifest.shardCount = static_cast<int>(doc.at("shard_count").asInt64());
-  manifest.streaming = doc.at("streaming").asBool();
   manifest.targetCi = doc.at("target_ci").asDouble();
   manifest.targetMetric = doc.at("target_metric").asString();
   manifest.wallSeconds = doc.at("wall_seconds").asDouble();
@@ -243,17 +240,9 @@ std::string manifestPathFor(const std::string& artifactPath) {
 
 bool writeManifestSidecar(const RunManifest& manifest) {
   const std::string path = manifestPathFor(manifest.artifact);
-  std::ofstream out = util::openForRewrite(path);
-  if (!out) {
-    LOG_WARN("cannot open manifest sidecar " << path << " for writing");
-    return false;
-  }
-  out << manifestJson(manifest);
-  if (!out) {
-    LOG_WARN("short write on manifest sidecar " << path);
-    return false;
-  }
-  return true;
+  if (util::writeFile(path, manifestJson(manifest))) return true;
+  LOG_WARN("cannot write manifest sidecar " << path);
+  return false;
 }
 
 }  // namespace vanet::obs

@@ -6,8 +6,8 @@
 /// `<out>`, the writer drops `<out>.manifest.json` next to it recording
 /// *how the bytes were produced*: git revision and build flags of the
 /// binary, the full command line, the master seed, the parallelism axes
-/// (threads / round-threads / shard / streaming), wall time, and the
-/// per-point replication / achieved-CI table.
+/// (threads / round-threads / shard), wall time, and the per-point
+/// replication / achieved-CI table.
 ///
 /// Manifests are out-of-band observability: they are separate files, so
 /// the byte-diff determinism checks on the artefacts themselves are
@@ -45,7 +45,6 @@ struct RunManifest {
   int roundThreads = 0;
   int shardIndex = 0;
   int shardCount = 1;
-  bool streaming = false;
   /// Adaptive stop rule of the run; 0 / empty when fixed-count.
   double targetCi = 0.0;
   std::string targetMetric;

@@ -2,18 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
-#include "analysis/serialize.h"
 #include "obs/manifest.h"
 #include "runner/partial_binary.h"
-#include "trace/serialize.h"
 #include "util/file.h"
-#include "util/json.h"
 #include "util/log.h"
 
 namespace vanet::runner {
@@ -139,160 +134,13 @@ void CampaignAccumulator::restore(std::vector<GridPointSummary> points) {
   folded_ = folded;
 }
 
-namespace {
-
-std::string pointJson(const GridPointSummary& point) {
-  std::string out = "{\"grid_index\":" + std::to_string(point.gridIndex);
-  out += ",\"case\":" + json::quote(point.caseName);
-  out += ",\"replications\":" + std::to_string(point.replications);
-  out += ",\"rounds\":" + std::to_string(point.rounds);
-  out += ",\"achieved_ci95\":" + json::num(point.achievedCi95);
-  out += ",\"params\":{";
-  bool first = true;
-  for (const auto& [name, value] : point.params.values()) {
-    if (!first) out += ",";
-    first = false;
-    out += json::quote(name) + ":" + json::num(value);
-  }
-  out += "},\"table1\":" + trace::table1ToJson(point.table1);
-  out += ",\"figures\":[";
-  first = true;
-  for (const auto& [flow, figure] : point.figures) {
-    (void)flow;  // the figure serializes its own flow id
-    if (!first) out += ",";
-    first = false;
-    out += trace::flowFigureToJson(figure);
-  }
-  out += "],\"totals\":" + analysis::protocolTotalsToJson(point.totals);
-  out += ",\"metrics\":{";
-  first = true;
-  for (const auto& [name, stats] : point.metrics) {
-    if (!first) out += ",";
-    first = false;
-    out += json::quote(name) + ":" + trace::runningStatsToJson(stats);
-  }
-  out += "}}";
-  return out;
-}
-
-GridPointSummary pointFromJson(const json::Value& value) {
-  GridPointSummary point;
-  point.gridIndex =
-      static_cast<std::size_t>(value.at("grid_index").asUInt64());
-  point.caseName = value.at("case").asString();
-  point.replications = static_cast<int>(value.at("replications").asInt64());
-  point.rounds = value.at("rounds").asInt64();
-  // Absent in v1 partials (which predate adaptive replication).
-  if (const json::Value* ci = value.find("achieved_ci95")) {
-    point.achievedCi95 = ci->asDouble();
-  }
-  for (const auto& [name, param] : value.at("params").asObject()) {
-    point.params.set(name, param.asDouble());
-  }
-  point.table1 = trace::table1FromJson(value.at("table1"));
-  for (const json::Value& figure : value.at("figures").asArray()) {
-    trace::FlowFigure parsed = trace::flowFigureFromJson(figure);
-    const FlowId flow = parsed.flow;
-    point.figures[flow] = std::move(parsed);
-  }
-  point.totals = analysis::protocolTotalsFromJson(value.at("totals"));
-  for (const auto& [name, stats] : value.at("metrics").asObject()) {
-    point.metrics[name] = trace::runningStatsFromJson(stats);
-  }
-  return point;
-}
-
-}  // namespace
-
-std::string campaignPartialJson(const CampaignPartial& partial) {
-  std::string out = "{\n\"format\":\"vanet-campaign-partial\",\n";
-  out += "\"version\":" + std::to_string(CampaignPartial::kVersion) + ",\n";
-  out += "\"scenario\":" + json::quote(partial.scenario) + ",\n";
-  out += "\"master_seed\":" + std::to_string(partial.masterSeed) + ",\n";
-  out += "\"shard_index\":" + std::to_string(partial.shard.index) + ",\n";
-  out += "\"shard_count\":" + std::to_string(partial.shard.count) + ",\n";
-  out += "\"replications\":" + std::to_string(partial.replications) + ",\n";
-  out += "\"target_ci\":" + json::num(partial.targetRelativeCi95) + ",\n";
-  out += "\"min_replications\":" + std::to_string(partial.minReplications) +
-         ",\n";
-  out += "\"max_replications\":" + std::to_string(partial.maxReplications) +
-         ",\n";
-  out += "\"target_metric\":" + json::quote(partial.targetMetric) + ",\n";
-  out += "\"grid_points\":" + std::to_string(partial.totalPoints) + ",\n";
-  out += "\"job_count\":" + std::to_string(partial.totalJobs) + ",\n";
-  out += "\"points\":[";
-  bool first = true;
-  for (const GridPointSummary& point : partial.points) {
-    if (!first) out += ",";
-    first = false;
-    out += "\n " + pointJson(point);
-  }
-  out += "\n]\n}\n";
-  return out;
-}
-
-CampaignPartial parseCampaignPartial(const std::string& text) {
-  const json::Value doc = json::parse(text);
-  if (doc.at("format").asString() != "vanet-campaign-partial") {
-    throw std::runtime_error("not a vanet campaign partial file");
-  }
-  const auto version = static_cast<int>(doc.at("version").asInt64());
-  if (version < CampaignPartial::kMinVersion ||
-      version > CampaignPartial::kVersion) {
-    throw std::runtime_error(
-        "unsupported campaign partial version " + std::to_string(version) +
-        " (supported: " + std::to_string(CampaignPartial::kMinVersion) +
-        ".." + std::to_string(CampaignPartial::kVersion) + ")");
-  }
-  CampaignPartial partial;
-  partial.scenario = doc.at("scenario").asString();
-  partial.masterSeed = doc.at("master_seed").asUInt64();
-  partial.shard.index = static_cast<int>(doc.at("shard_index").asInt64());
-  partial.shard.count = static_cast<int>(doc.at("shard_count").asInt64());
-  partial.replications = static_cast<int>(doc.at("replications").asInt64());
-  if (version >= 2) {
-    partial.targetRelativeCi95 = doc.at("target_ci").asDouble();
-    partial.minReplications =
-        static_cast<int>(doc.at("min_replications").asInt64());
-    partial.maxReplications =
-        static_cast<int>(doc.at("max_replications").asInt64());
-    partial.targetMetric = doc.at("target_metric").asString();
-    // The same bounds buildPlan enforces: a corrupt or hand-edited
-    // adaptive header must fail loudly here, not feed degenerate wave
-    // arithmetic to downstream consumers.
-    if (partial.targetRelativeCi95 > 0.0 &&
-        (partial.minReplications < 1 ||
-         partial.maxReplications < partial.minReplications)) {
-      throw std::runtime_error(
-          "malformed adaptive header: needs 1 <= min_replications <= "
-          "max_replications (got " +
-          std::to_string(partial.minReplications) + ".." +
-          std::to_string(partial.maxReplications) + ")");
-    }
-  }
-  partial.totalPoints =
-      static_cast<std::size_t>(doc.at("grid_points").asUInt64());
-  partial.totalJobs = static_cast<std::size_t>(doc.at("job_count").asUInt64());
-  for (const json::Value& point : doc.at("points").asArray()) {
-    partial.points.push_back(pointFromJson(point));
-  }
-  return partial;
-}
-
 bool writeCampaignPartial(const std::string& path,
                           const CampaignPartial& partial,
-                          PartialFormat format) {
-  const bool binary =
-      format == PartialFormat::kBinary ||
-      (format == PartialFormat::kAuto && partial.shard.count > 1);
-  std::ofstream out = util::openForRewrite(path, std::ios::binary);
-  if (!out) {
-    LOG_ERROR("cannot open " << path << " for writing");
+                          PartialFormat /*format*/) {
+  if (!util::writeFile(path, campaignPartialBinary(partial))) {
+    LOG_ERROR("cannot write " << path);
     return false;
   }
-  out << (binary ? campaignPartialBinary(partial)
-                 : campaignPartialJson(partial));
-  if (!out) return false;
   // Provenance sidecar (best effort; never fails the partial write).
   obs::RunManifest manifest = obs::manifestForArtifact(path);
   manifest.scenario = partial.scenario;
@@ -310,28 +158,14 @@ bool writeCampaignPartial(const std::string& path,
   return true;
 }
 
-bool writeCampaignPartial(const std::string& path,
-                          const CampaignPartial& partial) {
-  return writeCampaignPartial(path, partial, PartialFormat::kJson);
-}
-
 CampaignPartial readCampaignPartial(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("cannot open " + path + " for reading");
+  PartialBinaryFileReader reader(path);
+  CampaignPartial partial = reader.header();
+  GridPointSummary point;
+  while (reader.nextPoint(point)) {
+    partial.points.push_back(std::move(point));
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-  try {
-    CampaignPartial partial = looksLikeBinaryPartial(text)
-                                  ? parseCampaignPartialBinary(text)
-                                  : parseCampaignPartial(text);
-    partial.sourcePath = path;
-    return partial;
-  } catch (const std::runtime_error& error) {
-    throw std::runtime_error(path + ": " + error.what());
-  }
+  return partial;
 }
 
 namespace {
@@ -454,17 +288,6 @@ class PartialMerger {
   std::vector<bool> filled_;
 };
 
-bool fileStartsWithBinaryMagic(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("cannot open " + path + " for reading");
-  }
-  char prefix[sizeof kPartialBinaryMagic] = {};
-  in.read(prefix, sizeof prefix);
-  return looksLikeBinaryPartial(
-      std::string_view(prefix, static_cast<std::size_t>(in.gcount())));
-}
-
 }  // namespace
 
 std::vector<GridPointSummary> mergeCampaignPartials(
@@ -492,40 +315,23 @@ std::vector<GridPointSummary> mergeCampaignPartialFiles(
   if (paths.empty()) {
     throw std::runtime_error("no campaign partials to merge");
   }
-  // Binary files open as streaming readers (header parsed, points left on
-  // disk); JSON files fall back to the DOM reader.
-  struct Source {
-    std::unique_ptr<PartialBinaryFileReader> bin;  // non-null => binary
-    CampaignPartial json;                          // parsed JSON otherwise
-  };
-  const auto headerOf = [](const Source& source) -> const CampaignPartial& {
-    return source.bin ? source.bin->header() : source.json;
-  };
-  std::vector<Source> sources(paths.size());
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    if (fileStartsWithBinaryMagic(paths[i])) {
-      sources[i].bin = std::make_unique<PartialBinaryFileReader>(paths[i]);
-    } else {
-      sources[i].json = readCampaignPartial(paths[i]);
-    }
+  // Each file opens as a streaming reader: header parsed, points left on
+  // disk until the merge pulls them.
+  std::vector<std::unique_ptr<PartialBinaryFileReader>> sources;
+  sources.reserve(paths.size());
+  for (const std::string& path : paths) {
+    sources.push_back(std::make_unique<PartialBinaryFileReader>(path));
   }
   std::sort(sources.begin(), sources.end(),
-            [&headerOf](const Source& a, const Source& b) {
-              return headerOf(a).shard.index < headerOf(b).shard.index;
+            [](const auto& a, const auto& b) {
+              return a->header().shard.index < b->header().shard.index;
             });
   PartialMerger merger(sources.size());
-  for (Source& source : sources) {
-    merger.beginShard(headerOf(source));
-    if (source.bin) {
-      GridPointSummary point;
-      while (source.bin->nextPoint(point)) {
-        merger.addPoint(std::move(point));
-      }
-    } else {
-      for (GridPointSummary& point : source.json.points) {
-        merger.addPoint(std::move(point));
-      }
-      source.json.points.clear();
+  for (const auto& source : sources) {
+    merger.beginShard(source->header());
+    GridPointSummary point;
+    while (source->nextPoint(point)) {
+      merger.addPoint(std::move(point));
     }
   }
   if (headerOut != nullptr) {

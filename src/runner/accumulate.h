@@ -2,15 +2,12 @@
 
 /// \file accumulate.h
 /// The *accumulate* layer of the campaign pipeline: folds JobResults
-/// into per-grid-point summaries strictly in job order (the merge that
-/// used to live inline in runCampaign), and (de)serializes summaries to
-/// the versioned partial-result formats that shard processes exchange:
-/// JSON v1/v2 (text, human-greppable) and the compact binary v3
-/// (runner/partial_binary.h; the fast path for large campaigns).
-/// Because every RunningStats round-trips its full Welford merge state
-/// -- shortest-round-trip text in JSON, raw IEEE-754 payloads in binary
-/// -- results reassembled from shard files are bit-identical to a
-/// single-process run whichever format carried them.
+/// into per-grid-point summaries strictly in job order, and reads and
+/// writes the binary v3 partial files that shard processes exchange
+/// (runner/partial_binary.h). Because every RunningStats round-trips its
+/// full Welford merge state as raw IEEE-754 payloads, results
+/// reassembled from shard files are bit-identical to a single-process
+/// run.
 
 #include <cstddef>
 #include <cstdint>
@@ -119,15 +116,8 @@ class CampaignAccumulator {
 /// A shard's serialized contribution: the campaign identity (so merging
 /// validates shards belong together) plus its merged point summaries.
 struct CampaignPartial {
-  /// Format version of the JSON partial-result file. Writers always emit
-  /// the current version; readers accept every version back to
-  /// kMinVersion (v1 files predate adaptive replication -- their
-  /// adaptive fields read as "fixed count") and reject anything else.
-  static constexpr int kVersion = 2;
-  static constexpr int kMinVersion = 1;
-  /// Version of the compact binary encoding (runner/partial_binary.h).
-  /// The version space is shared across formats: v1/v2 are JSON, v3 is
-  /// binary; readCampaignPartial auto-detects by magic.
+  /// Version of the binary encoding (runner/partial_binary.h). Versions
+  /// 1 and 2 were JSON encodings; readers reject them.
   static constexpr int kBinaryVersion = 3;
 
   std::string scenario;
@@ -136,8 +126,8 @@ struct CampaignPartial {
   /// Per-point replication cap of the plan (the fixed count, or
   /// maxReplications for adaptive campaigns).
   int replications = 0;
-  /// Adaptive-replication header (v2): all shards of one campaign must
-  /// agree on the stop rule. 0 / empty for fixed-count campaigns.
+  /// Adaptive-replication header: all shards of one campaign must agree
+  /// on the stop rule. 0 / empty for fixed-count campaigns.
   double targetRelativeCi95 = 0.0;
   int minReplications = 0;
   int maxReplications = 0;
@@ -147,13 +137,12 @@ struct CampaignPartial {
   /// adaptive campaigns, whose converged points stop early).
   std::size_t totalJobs = 0;
   std::vector<GridPointSummary> points;  ///< this shard's, in grid order
-  /// Checkpoint trailer (binary v3 only): set when this partial is a
-  /// per-wave checkpoint rather than a finished shard contribution.
-  /// `checkpointCoveredReps` is the replication prefix every still-open
-  /// point has folded; `checkpointComplete` marks the final barrier (the
-  /// campaign finished -- resuming just re-emits). Incomplete checkpoints
-  /// are rejected by mergeCampaignPartials: they are resume state, not a
-  /// shard result.
+  /// Checkpoint trailer: set when this partial is a per-wave checkpoint
+  /// rather than a finished shard contribution. `checkpointCoveredReps`
+  /// is the replication prefix every still-open point has folded;
+  /// `checkpointComplete` marks the final barrier (the campaign finished
+  /// -- resuming just re-emits). Incomplete checkpoints are rejected by
+  /// mergeCampaignPartials: they are resume state, not a shard result.
   bool hasCheckpoint = false;
   int checkpointCoveredReps = 0;
   bool checkpointComplete = false;
@@ -163,35 +152,21 @@ struct CampaignPartial {
   std::string sourcePath;
 };
 
-/// On-disk encoding of a campaign partial. kAuto picks binary for shard
-/// runs (the CLI default for --shard; compact and ~an order of magnitude
-/// faster to write+merge) and JSON otherwise (back-compat for tooling
-/// that greps partials).
-enum class PartialFormat { kAuto, kJson, kBinary };
+/// On-disk encoding of a campaign partial. Binary v3 is the only one;
+/// the enum stays so call sites that name the encoding keep compiling.
+enum class PartialFormat { kBinary };
 
-/// Serializes a partial to its versioned JSON document. Deterministic:
-/// bit-identical summaries render byte-identical text.
-std::string campaignPartialJson(const CampaignPartial& partial);
-
-/// Parses campaignPartialJson() output. Throws std::runtime_error on
-/// malformed input or a version mismatch.
-CampaignPartial parseCampaignPartial(const std::string& text);
-
-/// Writes the partial to `path` in the requested format (kAuto: binary
-/// when partial.shard.count > 1, JSON otherwise); false (and logs) on
-/// I/O failure. The two-argument overload keeps the historical JSON
-/// behaviour.
+/// Writes the binary partial to `path`, plus its provenance sidecar;
+/// false (and logs) on any I/O failure, including a failed final flush.
 bool writeCampaignPartial(const std::string& path,
                           const CampaignPartial& partial,
-                          PartialFormat format);
-bool writeCampaignPartial(const std::string& path,
-                          const CampaignPartial& partial);
+                          PartialFormat format = PartialFormat::kBinary);
 
-/// Reads and parses a partial file, auto-detecting the format by magic:
-/// binary v3 files start with the kPartialBinaryMagic bytes, everything
-/// else parses as JSON v1/v2. Throws std::runtime_error (prefixed with
-/// the path; binary errors also carry the byte offset of the bad
-/// section) when the file cannot be read or parsed.
+/// Reads a binary partial file through PartialBinaryFileReader. Throws
+/// std::runtime_error prefixed with the path when the file cannot be
+/// read or parsed; parse errors carry the byte offset of the damage. A
+/// JSON partial from an older build fails as "not a binary campaign
+/// partial".
 CampaignPartial readCampaignPartial(const std::string& path);
 
 /// Folds shard partials (any order given; folded in shard order) back
@@ -205,11 +180,10 @@ std::vector<GridPointSummary> mergeCampaignPartials(
 
 /// The streaming fast path behind campaign_merge: reads the named shard
 /// files and folds their points into the full grid with the same
-/// validation as mergeCampaignPartials, but binary partials stream
-/// point-by-point through buffered reads (peak memory one point record,
-/// never a parsed DOM). JSON files fall back to the DOM reader. When
-/// `headerOut` is non-null it receives the campaign identity of the set
-/// (points left empty). Formats may be mixed across files.
+/// validation as mergeCampaignPartials, streaming point-by-point through
+/// buffered reads (peak memory one point record). When `headerOut` is
+/// non-null it receives the campaign identity of the set (points left
+/// empty).
 std::vector<GridPointSummary> mergeCampaignPartialFiles(
     const std::vector<std::string>& paths,
     CampaignPartial* headerOut = nullptr);

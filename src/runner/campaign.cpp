@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -10,6 +9,7 @@
 #include "obs/counters.h"
 #include "obs/progress.h"
 #include "runner/partial_binary.h"
+#include "util/file.h"
 
 namespace vanet::runner {
 namespace {
@@ -72,22 +72,16 @@ CampaignPartial loadCheckpoint(const std::string& path,
 }
 
 /// Atomic checkpoint write: the complete file lands under a temporary
-/// name first, then rename() swaps it in -- a kill mid-write leaves the
-/// previous checkpoint intact, never a torn file.
+/// name first, then rename() swaps it in -- a kill or a failed write
+/// leaves the previous checkpoint intact, never a torn file. The
+/// temporary is closed and checked before the rename: a short write
+/// held in the stream buffer fails only at that final flush.
 void writeCheckpointAtomically(const std::string& path,
                                const CampaignPartial& checkpoint) {
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw std::runtime_error("cannot open " + tmp +
-                               " for writing the campaign checkpoint");
-    }
-    out << campaignPartialBinary(checkpoint);
-    if (!out) {
-      throw std::runtime_error("failed writing the campaign checkpoint to " +
-                               tmp);
-    }
+  if (!util::writeFile(tmp, campaignPartialBinary(checkpoint))) {
+    throw std::runtime_error("failed writing the campaign checkpoint to " +
+                             tmp);
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     throw std::runtime_error("cannot move the campaign checkpoint into " +
@@ -134,8 +128,8 @@ CampaignResult runCampaign(const CampaignConfig& config) {
     progress = std::make_unique<obs::ProgressReporter>(plan->shardJobCount());
   }
   const ExecutionStats stats =
-      executeCampaign(*plan, config.threads, config.streaming, accumulator,
-                      progress.get(), hooks);
+      executeCampaign(*plan, config.threads, accumulator, progress.get(),
+                      hooks);
 
   OBS_SCOPED_TIMER("campaign.accumulate");
   CampaignResult merged;
@@ -151,7 +145,6 @@ CampaignResult runCampaign(const CampaignConfig& config) {
   merged.waves = stats.waves;
   merged.shard = config.shard;
   merged.threads = stats.threads;
-  merged.streaming = stats.streaming;
   merged.jobCount = stats.jobsRun;
   merged.totalPoints = plan->points().size();
   merged.totalJobs = plan->totalJobCount();

@@ -3,9 +3,9 @@
 /// \file campaign.h
 /// The top of the campaign pipeline: runCampaign() composes the three
 /// layers -- plan (plan.h: case x grid expansion, job layout, per-job
-/// seed derivation), execute (executor.h: thread-pool backends, buffered
-/// or streaming), accumulate (accumulate.h: job-order fold plus shard
-/// partial serialization) -- into the one-call API every bench and
+/// seed derivation), execute (executor.h: thread pool plus job-order
+/// reordering window), accumulate (accumulate.h: job-order fold plus
+/// shard partial serialization) -- into the one-call API every bench and
 /// example uses. Per-job determinism comes from
 /// Rng::deriveStreamSeed(masterSeed, jobIndex): each job owns a private
 /// RNG stream that is a pure function of the master seed and its index,
@@ -44,13 +44,12 @@ struct CampaignResult {
   int waves = 0;         ///< replication waves executed (1 when fixed)
   Shard shard{};         ///< which slice this process ran
   int threads = 0;           ///< workers actually used
-  bool streaming = false;    ///< executor backend used
   std::size_t jobCount = 0;  ///< jobs run by this process
   std::size_t totalPoints = 0;  ///< full-grid point count
   /// Full job-index space of the plan (upper bound when adaptive).
   std::size_t totalJobs = 0;
-  /// High-water mark of completed-but-unfolded JobResults (streaming
-  /// mode is bounded by streamingWindowCap(threads)).
+  /// High-water mark of completed-but-unfolded JobResults (bounded by
+  /// util::reorderWindowCap(threads)).
   std::size_t peakBufferedResults = 0;
   double wallSeconds = 0.0;
   double jobsPerSecond = 0.0;
@@ -86,11 +85,9 @@ CampaignPartial campaignPartial(const CampaignResult& result);
 CampaignResult resultFromPartials(std::vector<CampaignPartial> partials);
 
 /// resultFromPartials over files: the streaming fast path of
-/// campaign_merge. Binary shard files fold point-by-point through
-/// buffered reads (peak memory one point record); JSON files fall back
-/// to the DOM reader. Formats may be mixed. Same validation -- and the
-/// same merged bytes -- as reading every file and calling
-/// resultFromPartials.
+/// campaign_merge. Shard files fold point-by-point through buffered
+/// reads (peak memory one point record). Same validation -- and the same
+/// merged bytes -- as reading every file and calling resultFromPartials.
 CampaignResult resultFromPartialFiles(const std::vector<std::string>& paths);
 
 }  // namespace vanet::runner

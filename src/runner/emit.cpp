@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <set>
 #include <sstream>
 
@@ -61,7 +60,6 @@ void writeCampaignArtifactManifest(const std::string& path,
   manifest.threads = result.threads;
   manifest.shardIndex = result.shard.index;
   manifest.shardCount = result.shard.count;
-  manifest.streaming = result.streaming;
   manifest.targetCi = result.targetRelativeCi95;
   manifest.targetMetric = result.targetMetric;
   manifest.wallSeconds = result.wallSeconds;
@@ -133,13 +131,10 @@ std::string campaignCsv(const CampaignResult& result) {
 }
 
 bool writeCampaignCsv(const std::string& path, const CampaignResult& result) {
-  std::ofstream out = util::openForRewrite(path);
-  if (!out) {
-    LOG_ERROR("cannot open " << path << " for writing");
+  if (!util::writeFile(path, campaignCsv(result))) {
+    LOG_ERROR("cannot write " << path);
     return false;
   }
-  out << campaignCsv(result);
-  if (!out) return false;
   writeCampaignArtifactManifest(path, result);
   return true;
 }
@@ -222,13 +217,10 @@ std::string campaignJson(const CampaignResult& result) {
 }
 
 bool writeCampaignJson(const std::string& path, const CampaignResult& result) {
-  std::ofstream out = util::openForRewrite(path);
-  if (!out) {
-    LOG_ERROR("cannot open " << path << " for writing");
+  if (!util::writeFile(path, campaignJson(result))) {
+    LOG_ERROR("cannot write " << path);
     return false;
   }
-  out << campaignJson(result);
-  if (!out) return false;
   writeCampaignArtifactManifest(path, result);
   return true;
 }
@@ -320,13 +312,9 @@ std::string figureSeriesCsv(const trace::FlowFigure& figure) {
 }
 
 bool writeFigureCsv(const std::string& path, const trace::FlowFigure& figure) {
-  std::ofstream out = util::openForRewrite(path);
-  if (!out) {
-    LOG_ERROR("cannot open " << path << " for writing");
-    return false;
-  }
-  out << figureSeriesCsv(figure);
-  return static_cast<bool>(out);
+  if (util::writeFile(path, figureSeriesCsv(figure))) return true;
+  LOG_ERROR("cannot write " << path);
+  return false;
 }
 
 std::size_t writeCampaignFigureCsvs(const std::string& dir,

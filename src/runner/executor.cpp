@@ -1,11 +1,9 @@
 #include "runner/executor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <exception>
 #include <functional>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -76,74 +74,16 @@ JobResult runJob(const CampaignPlan& plan, const JobSpec& spec) {
   }
 }
 
-/// Buffered backend: collect the wave, then fold once the pool drains.
-std::size_t executeWaveBuffered(const CampaignPlan& plan,
-                                const std::vector<WaveJob>& jobs, int threads,
-                                CampaignAccumulator& into,
-                                obs::ProgressReporter* progress) {
-  std::vector<JobResult> results(jobs.size());
-  std::atomic<std::size_t> nextJob{0};
-  std::mutex errorMutex;
-  std::exception_ptr firstError;
-
-  const auto worker = [&] {
-    for (;;) {
-      const std::size_t i = nextJob.fetch_add(1, std::memory_order_relaxed);
-      if (i >= jobs.size()) return;
-      try {
-        results[i] = runJob(plan, jobs[i].spec);
-        if (progress != nullptr) progress->jobDone();
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(errorMutex);
-        if (!firstError) firstError = std::current_exception();
-        nextJob.store(jobs.size(), std::memory_order_relaxed);  // drain
-        return;
-      }
-    }
-  };
-  util::runWorkers(threads, worker);
-  if (firstError) std::rethrow_exception(firstError);
-
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    into.fold(jobs[i].shardSlot, jobs[i].spec.replication, results[i]);
-  }
-  return jobs.size();  // the peak: every wave result was buffered at once
-}
-
-/// Streaming backend: the bounded job-order reordering window of
-/// util/reorder.h (the machinery originally lived here; the experiment
-/// layer's round engine now folds through the same template).
-std::size_t executeWaveStreaming(const CampaignPlan& plan,
-                                 const std::vector<WaveJob>& jobs, int threads,
-                                 CampaignAccumulator& into,
-                                 obs::ProgressReporter* progress) {
-  return util::foldOrdered<JobResult>(
-      jobs.size(), threads, streamingWindowCap(threads),
-      [&plan, &jobs, progress](std::size_t i) {
-        JobResult result = runJob(plan, jobs[i].spec);
-        if (progress != nullptr) progress->jobDone();
-        return result;
-      },
-      [&into, &jobs](std::size_t i, JobResult& result) {
-        into.fold(jobs[i].shardSlot, jobs[i].spec.replication, result);
-      });
-}
-
 }  // namespace
 
-std::size_t streamingWindowCap(int threads) noexcept {
-  return util::reorderWindowCap(threads);
-}
-
 ExecutionStats executeCampaign(const CampaignPlan& plan, int requestedThreads,
-                               bool streaming, CampaignAccumulator& into,
+                               CampaignAccumulator& into,
                                obs::ProgressReporter* progress,
                                const WaveHooks& hooks) {
   OBS_SCOPED_TIMER("campaign.execute");
   const std::size_t jobCount = plan.shardJobCount();
   ExecutionStats stats;
   stats.threads = resolveThreadCount(requestedThreads, jobCount);
-  stats.streaming = streaming;
 
   // Record the job workers in the global budget (force: an explicit
   // --threads count is an instruction). Round engines nested inside the
@@ -182,10 +122,18 @@ ExecutionStats executeCampaign(const CampaignPlan& plan, int requestedThreads,
       progress->beginWave(wave, jobs.size(), open.size(),
                           plan.shardPointIndices().size());
     }
-    const std::size_t peak =
-        streaming
-            ? executeWaveStreaming(plan, jobs, stats.threads, into, progress)
-            : executeWaveBuffered(plan, jobs, stats.threads, into, progress);
+    // The wave runs through the bounded job-order reordering window of
+    // util/reorder.h, which returns its high-water mark.
+    const std::size_t peak = util::foldOrdered<JobResult>(
+        jobs.size(), stats.threads, util::reorderWindowCap(stats.threads),
+        [&plan, &jobs, progress](std::size_t i) {
+          JobResult result = runJob(plan, jobs[i].spec);
+          if (progress != nullptr) progress->jobDone();
+          return result;
+        },
+        [&into, &jobs](std::size_t i, JobResult& result) {
+          into.fold(jobs[i].shardSlot, jobs[i].spec.replication, result);
+        });
     stats.peakBufferedResults = std::max(stats.peakBufferedResults, peak);
     stats.jobsRun += jobs.size();
     stats.waves += 1;

@@ -12,24 +12,20 @@
 /// (a pure function of the folded state) drops converged points from
 /// the next wave. Seeds derive from the global (point, replication)
 /// index either way, so the adaptive schedule is byte-identical at any
-/// thread count, under streaming, and across shard processes.
+/// thread count and across shard processes.
 ///
-/// Two backends share the same fold (and therefore the same bytes):
+/// Each worker hands its result to a bounded job-order reordering window
+/// (util/reorder.h); results are folded the moment they become the
+/// lowest outstanding job index, and a worker may only claim a new job
+/// while the window has room. Peak memory is O(grid points + threads)
+/// JobResult-sized buffers, independent of job count. A single worker
+/// claims and folds jobs strictly in index order.
 ///
-///  - buffered: every JobResult of the wave is kept in a vector sized
-///    to the wave and folded after the pool drains (the original
-///    runCampaign behaviour). Peak memory O(wave job count).
-///  - streaming: each worker hands its result to a bounded job-order
-///    reordering window; results are folded the moment they become the
-///    lowest outstanding job index, and a worker may only claim a new
-///    job while the window has room. Peak memory O(grid points +
-///    threads) JobResult-sized buffers, independent of job count.
-///
-/// Error path: if any job throws, the pool drains, every buffered /
-/// windowed result is discarded with the executor's state, and the first
-/// exception is rethrown on the calling thread *before* anything can be
-/// emitted -- the accumulator is left incomplete, and
-/// CampaignAccumulator::take() refuses to surface a truncated summary.
+/// Error path: if any job throws, the pool drains, every windowed result
+/// is discarded with the executor's state, and the first exception is
+/// rethrown on the calling thread *before* anything can be emitted --
+/// the accumulator is left incomplete, and CampaignAccumulator::take()
+/// refuses to surface a truncated summary.
 
 #include <cstddef>
 #include <functional>
@@ -47,16 +43,14 @@ namespace vanet::runner {
 struct ExecutionStats {
   int threads = 0;          ///< workers actually used
   double wallSeconds = 0.0;
-  bool streaming = false;
   /// Jobs actually executed: the full planned count for fixed campaigns,
   /// possibly fewer for adaptive ones (converged points stop early).
   std::size_t jobsRun = 0;
   /// Replication waves executed (1 for fixed-count campaigns, 0 for an
   /// empty shard).
   int waves = 0;
-  /// High-water mark of completed-but-unfolded JobResults held at once.
-  /// Buffered mode reports the largest wave's job count; streaming mode
-  /// is bounded by streamingWindowCap(threads).
+  /// High-water mark of completed-but-unfolded JobResults held at once
+  /// in the reordering window; bounded by util::reorderWindowCap(threads).
   std::size_t peakBufferedResults = 0;
   /// True when WaveHooks::haltAfterWaves stopped the run at a barrier
   /// before the campaign completed. The accumulator then holds a valid
@@ -85,11 +79,6 @@ struct WaveHooks {
   std::function<void(int wave, int coveredReps, bool complete)> onWaveBarrier;
 };
 
-/// The reordering-window capacity for `threads` workers: the most
-/// completed-but-unfolded results streaming mode ever holds. O(threads),
-/// never O(job count).
-std::size_t streamingWindowCap(int threads) noexcept;
-
 /// Runs every shard job of `plan` and folds the results into `into` in
 /// ascending local job order. `requestedThreads` <= 0 picks the hardware
 /// concurrency; the count is clamped to the job count. Rethrows the
@@ -99,7 +88,7 @@ std::size_t streamingWindowCap(int threads) noexcept;
 /// receives a wave notification at each barrier and a (thread-safe)
 /// tick per completed job; it observes only, never schedules.
 ExecutionStats executeCampaign(const CampaignPlan& plan, int requestedThreads,
-                               bool streaming, CampaignAccumulator& into,
+                               CampaignAccumulator& into,
                                obs::ProgressReporter* progress = nullptr,
                                const WaveHooks& hooks = {});
 

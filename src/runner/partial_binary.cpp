@@ -1,5 +1,6 @@
 #include "runner/partial_binary.h"
 
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -29,9 +30,9 @@ struct SectionEntry {
   std::uint64_t length = 0;
 };
 
-/// The v2 JSON parser enforces the same bounds: a corrupt or hand-edited
-/// adaptive header must fail loudly, never feed degenerate wave
-/// arithmetic downstream.
+/// The bounds buildPlan enforces: a corrupt or hand-edited adaptive
+/// header must fail loudly, never feed degenerate wave arithmetic
+/// downstream.
 void validateAdaptiveHeader(const CampaignPartial& partial) {
   if (partial.targetRelativeCi95 > 0.0 &&
       (partial.minReplications < 1 ||
@@ -145,9 +146,10 @@ GridPointSummary parsePointRecord(BinReader& in) {
   return point;
 }
 
-/// Parses the fixed prologue (magic, version, section table) out of
-/// `data`; used by both the in-memory parser and the streaming reader.
-std::vector<SectionEntry> parsePrologue(BinReader& in) {
+/// Parses the fixed prologue (magic, version, section count -- the first
+/// kProloguePrefix bytes) and returns the section count; used by both
+/// the in-memory parser and the streaming reader.
+std::uint32_t parsePrologue(BinReader& in) {
   char magic[8];
   in.need(sizeof magic, "magic");
   for (char& byte : magic) {
@@ -169,6 +171,12 @@ std::vector<SectionEntry> parsePrologue(BinReader& in) {
                              std::to_string(sectionCount) +
                              " at byte offset 12");
   }
+  return sectionCount;
+}
+
+/// Parses the `sectionCount` table entries that follow the prologue.
+std::vector<SectionEntry> parseSectionTable(BinReader& in,
+                                            std::uint32_t sectionCount) {
   std::vector<SectionEntry> table(sectionCount);
   for (SectionEntry& entry : table) {
     entry.id = in.u32("section id");
@@ -179,8 +187,13 @@ std::vector<SectionEntry> parsePrologue(BinReader& in) {
   return table;
 }
 
+/// Payload end of a stream read sequentially, which cannot know where the
+/// checksum sits without a seek.
+constexpr std::size_t kUnknownPayloadEnd = SIZE_MAX;
+
 /// Section-table sanity shared by both readers: offsets must tile the
-/// payload region [payloadStart, payloadEnd) in order, gap-free.
+/// payload region [payloadStart, payloadEnd) in order, gap-free. With
+/// kUnknownPayloadEnd only the tiling, ids and order are checked.
 void validateSectionTable(const std::vector<SectionEntry>& table,
                           std::size_t payloadStart, std::size_t payloadEnd) {
   std::size_t cursor = payloadStart;
@@ -212,7 +225,7 @@ void validateSectionTable(const std::vector<SectionEntry>& table,
   if (table.back().id != kSectionPoints) {
     throw std::runtime_error("last section must be the points");
   }
-  if (cursor != payloadEnd) {
+  if (payloadEnd != kUnknownPayloadEnd && cursor != payloadEnd) {
     throw std::runtime_error(
         "section table covers " + std::to_string(cursor - payloadStart) +
         " payload bytes, file has " + std::to_string(payloadEnd - payloadStart));
@@ -220,12 +233,6 @@ void validateSectionTable(const std::vector<SectionEntry>& table,
 }
 
 }  // namespace
-
-bool looksLikeBinaryPartial(std::string_view prefix) noexcept {
-  return prefix.size() >= sizeof kPartialBinaryMagic &&
-         std::memcmp(prefix.data(), kPartialBinaryMagic,
-                     sizeof kPartialBinaryMagic) == 0;
-}
 
 std::string campaignPartialBinary(const CampaignPartial& partial) {
   BinWriter header;
@@ -273,7 +280,8 @@ std::string campaignPartialBinary(const CampaignPartial& partial) {
 
 CampaignPartial parseCampaignPartialBinary(std::string_view data) {
   BinReader prologue(data);
-  const std::vector<SectionEntry> table = parsePrologue(prologue);
+  const std::vector<SectionEntry> table =
+      parseSectionTable(prologue, parsePrologue(prologue));
   if (data.size() < prologue.offset() + kChecksumSize) {
     throw std::runtime_error("truncated at byte offset " +
                              std::to_string(data.size()) +
@@ -337,59 +345,26 @@ PartialBinaryFileReader::PartialBinaryFileReader(const std::string& path)
     throw std::runtime_error("cannot open " + path + " for reading");
   }
   try {
-    // Prologue: magic, version, section count, then the table.
+    // Prologue: magic, version, section count, then the table. The
+    // shared parse helpers throw bare messages; fail() names the file.
     std::string prefix(kProloguePrefix, '\0');
     readExact(prefix.data(), prefix.size(), "file prologue");
-    BinReader prefixReader(prefix);
-    char magic[8];
-    for (char& byte : magic) byte = static_cast<char>(prefixReader.u8("magic"));
-    if (!looksLikeBinaryPartial(std::string_view(magic, sizeof magic))) {
-      fail("not a binary campaign partial (bad magic)");
-    }
-    const std::uint32_t version = prefixReader.u32("format version");
-    if (version !=
-        static_cast<std::uint32_t>(CampaignPartial::kBinaryVersion)) {
-      fail("unsupported binary campaign partial version " +
-           std::to_string(version) + " (supported: " +
-           std::to_string(CampaignPartial::kBinaryVersion) + ")");
-    }
-    const std::uint32_t sectionCount = prefixReader.u32("section count");
-    if (sectionCount == 0 || sectionCount > 16) {
-      fail("implausible section count " + std::to_string(sectionCount));
+    std::uint32_t sectionCount = 0;
+    try {
+      BinReader prefixReader(prefix);
+      sectionCount = parsePrologue(prefixReader);
+    } catch (const std::runtime_error& error) {
+      fail(error.what());
     }
     std::string tableBytes(sectionCount * kTableEntrySize, '\0');
     readExact(tableBytes.data(), tableBytes.size(), "section table");
-    std::vector<SectionEntry> table(sectionCount);
     BinReader tableReader(tableBytes, kProloguePrefix);
-    for (SectionEntry& entry : table) {
-      entry.id = tableReader.u32("section id");
-      (void)tableReader.u32("section flags");
-      entry.offset = tableReader.u64("section offset");
-      entry.length = tableReader.u64("section length");
-    }
-    // Streamed sequentially: each section must start exactly where the
-    // previous one ended (validateSectionTable's tiling rule, minus the
-    // end-of-file bound we cannot know without a seek).
-    std::size_t cursor = fileOffset_;
-    for (std::size_t s = 0; s < table.size(); ++s) {
-      const SectionEntry& entry = table[s];
-      if (entry.id != kSectionHeader && entry.id != kSectionPoints &&
-          entry.id != kSectionCheckpoint) {
-        fail("unknown section id " + std::to_string(entry.id) +
-             " in section table");
-      }
-      if (entry.offset != cursor) {
-        fail("section table entry " + std::to_string(s) +
-             " claims byte offset " + std::to_string(entry.offset) +
-             ", expected " + std::to_string(cursor));
-      }
-      cursor += entry.length;
-    }
-    if (table.front().id != kSectionHeader) {
-      fail("first section must be the header");
-    }
-    if (table.back().id != kSectionPoints) {
-      fail("last section must be the points");
+    const std::vector<SectionEntry> table =
+        parseSectionTable(tableReader, sectionCount);
+    try {
+      validateSectionTable(table, fileOffset_, kUnknownPayloadEnd);
+    } catch (const std::runtime_error& error) {
+      fail(error.what());
     }
 
     // Everything before the points parses up front (header, checkpoint);

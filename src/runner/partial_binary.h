@@ -1,9 +1,8 @@
 #pragma once
 
 /// \file partial_binary.h
-/// Campaign-partial format v3: the compact binary twin of the JSON v1/v2
-/// partials in accumulate.h, built for million-point campaigns where
-/// text serialization and DOM parsing dominate merge wall time.
+/// Campaign-partial format v3, the one encoding shard partials and
+/// checkpoints use (versions 1 and 2 were JSON and are rejected).
 ///
 /// Wire layout (everything little-endian fixed-width; util/binio.h):
 ///
@@ -14,16 +13,15 @@
 ///   payload  the sections, in table order: HEADER, [CHECKPOINT], POINTS
 ///   checksum u64      FNV-1a 64 over every preceding byte
 ///
-/// HEADER mirrors the JSON v2 header (scenario, master seed, shard,
+/// HEADER carries the campaign identity (scenario, master seed, shard,
 /// replication cap, adaptive stop rule, grid/job totals, point count).
 /// CHECKPOINT (optional) carries the wave-barrier resume state. POINTS
 /// holds one length-framed record per grid point -- the framing is what
 /// lets readers stream records through a bounded buffer and report the
 /// byte offset of a damaged record. Doubles travel as raw IEEE-754
 /// payloads, so a round trip is bit-exact by construction and merged
-/// results reassembled from binary shards match the single-process run
-/// byte for byte (the same guarantee the JSON formats get from
-/// shortest-round-trip formatting).
+/// results reassembled from shards match the single-process run byte
+/// for byte.
 
 #include <cstddef>
 #include <cstdio>
@@ -34,12 +32,9 @@
 
 namespace vanet::runner {
 
-/// The 8 magic bytes binary partials start with (format auto-detection).
+/// The 8 magic bytes binary partials start with.
 inline constexpr char kPartialBinaryMagic[8] = {'V', 'N', 'E', 'T',
                                                 'P', 'A', 'R', 'T'};
-
-/// True when `prefix` (>= 8 bytes of a file) carries the binary magic.
-bool looksLikeBinaryPartial(std::string_view prefix) noexcept;
 
 /// Serializes `partial` to the complete v3 byte stream (checksum
 /// included). Deterministic: bit-identical summaries produce identical

@@ -6,8 +6,8 @@
 ///
 ///   plan (this file)      case x grid expansion, job layout, per-job
 ///                         seed derivation -- pure and backend-agnostic
-///   execute (executor.h)  runs the planned jobs on a thread pool,
-///                         buffered or streaming
+///   execute (executor.h)  runs the planned jobs on a thread pool
+///                         through a job-order reordering window
 ///   accumulate            folds job results into grid-point summaries
 ///   (accumulate.h)        and (de)serializes shard partials
 ///
@@ -66,7 +66,7 @@ struct CampaignConfig {
   /// drops to this value (never before minReplications, never past
   /// maxReplications). The stop decision is a pure function of the
   /// wave-boundary fold state, so adaptive campaigns stay byte-identical
-  /// at any thread count, under streaming, and across shard processes.
+  /// at any thread count and across shard processes.
   double targetRelativeCi95 = 0.0;
   int minReplications = 2;   ///< wave-0 size; also the convergence floor
   int maxReplications = 64;  ///< hard cap (and the per-point seed stride)
@@ -89,11 +89,6 @@ struct CampaignConfig {
   int roundThreads = 1;
   /// Which slice of the grid this process runs; {0, 1} = everything.
   Shard shard{};
-  /// Stream job results through a bounded reordering window instead of
-  /// buffering all of them: peak memory O(grid points + threads)
-  /// JobResult-sized buffers instead of O(job count). Bit-identical to
-  /// the buffered mode.
-  bool streaming = false;
   /// Live progress lines on stderr (CLI: --progress). Observability only:
   /// result bytes are identical with it on or off.
   bool progress = false;

@@ -501,7 +501,6 @@ void applyEngineFlags(const CampaignRunFlags& run, CampaignConfig& config) {
   config.threads = run.threads;
   config.roundThreads = run.roundThreads;
   config.shard = Shard{run.shard.index, run.shard.count};
-  config.streaming = run.streaming;
   config.progress = run.progress;
   config.checkpointPath = run.checkpoint;
   config.resume = run.resume;

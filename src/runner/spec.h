@@ -6,8 +6,8 @@
 /// named cases, sweep grid, replication policy (fixed count or adaptive
 /// CI95-targeted), master seed, and the artefacts to emit — so an
 /// experiment ships as one diffable file instead of a bespoke binary
-/// with a flag matrix. Engine knobs (threads, sharding, streaming,
-/// checkpoints) deliberately stay command-line flags: the spec defines
+/// with a flag matrix. Engine knobs (threads, sharding, checkpoints)
+/// deliberately stay command-line flags: the spec defines
 /// *what* to run, the invocation decides *how*.
 ///
 /// The document round-trips byte-exactly: renderCampaignSpec() is the
@@ -116,12 +116,12 @@ std::uint64_t campaignSpecDigest(const CampaignSpec& spec);
 
 /// The experiment half of a CampaignConfig: scenario, seed, replication
 /// policy, base params, cases and grid. Engine knobs (threads, shard,
-/// streaming, checkpoint, progress) keep their defaults — apply them
-/// from flags with applyEngineFlags().
+/// checkpoint, progress) keep their defaults — apply them from flags
+/// with applyEngineFlags().
 CampaignConfig campaignConfigFromSpec(const CampaignSpec& spec);
 
 /// The engine half: copies the shared run flags (threads, round workers,
-/// shard, streaming, progress, checkpoint/resume, halt-after-waves) onto
+/// shard, progress, checkpoint/resume, halt-after-waves) onto
 /// `config` without touching the experiment definition. Seed and the
 /// adaptive policy are deliberately *not* applied — they belong to the
 /// spec (benches that keep flag overrides for them layer those on

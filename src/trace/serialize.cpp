@@ -1,8 +1,9 @@
 #include "trace/serialize.h"
 
-#include <stdexcept>
 #include <utility>
 #include <vector>
+
+#include "util/json.h"
 
 namespace vanet::trace {
 
@@ -19,23 +20,6 @@ std::string runningStatsToJson(const RunningStats& stats) {
   return out;
 }
 
-RunningStats runningStatsFromJson(const json::Value& value) {
-  const auto& cells = value.asArray();
-  RunningStats::State s;
-  if (cells.empty()) throw std::runtime_error("stats state: empty array");
-  s.count = cells[0].asUInt64();
-  if (s.count == 0) return RunningStats();
-  if (cells.size() != 6) {
-    throw std::runtime_error("stats state: expected 6 fields");
-  }
-  s.mean = cells[1].asDouble();
-  s.m2 = cells[2].asDouble();
-  s.sum = cells[3].asDouble();
-  s.min = cells[4].asDouble();
-  s.max = cells[5].asDouble();
-  return RunningStats::fromState(s);
-}
-
 std::string seriesToJson(const SeriesAccumulator& series) {
   std::string out = "[";
   bool first = true;
@@ -46,15 +30,6 @@ std::string seriesToJson(const SeriesAccumulator& series) {
   }
   out += "]";
   return out;
-}
-
-SeriesAccumulator seriesFromJson(const json::Value& value) {
-  std::vector<RunningStats> cells;
-  cells.reserve(value.asArray().size());
-  for (const json::Value& cell : value.asArray()) {
-    cells.push_back(runningStatsFromJson(cell));
-  }
-  return SeriesAccumulator::fromCells(std::move(cells));
 }
 
 namespace {
@@ -91,25 +66,6 @@ std::string table1ToJson(const Table1Data& data) {
   return out;
 }
 
-Table1Data table1FromJson(const json::Value& value) {
-  Table1Data data;
-  data.rounds = value.at("rounds").asInt64();
-  const auto columns = table1Columns();
-  for (const json::Value& rowValue : value.at("rows").asArray()) {
-    Table1Row row;
-    row.car = static_cast<NodeId>(rowValue.at("car").asInt64());
-    const auto& stats = rowValue.at("stats").asArray();
-    if (stats.size() != columns.size()) {
-      throw std::runtime_error("table1 row: wrong stat column count");
-    }
-    for (std::size_t i = 0; i < columns.size(); ++i) {
-      row.*columns[i] = runningStatsFromJson(stats[i]);
-    }
-    data.rows.push_back(std::move(row));
-  }
-  return data;
-}
-
 std::string flowFigureToJson(const FlowFigure& figure) {
   std::string out = "{\"flow\":" + std::to_string(figure.flow);
   out += ",\"rx_by_car\":[";
@@ -126,20 +82,6 @@ std::string flowFigureToJson(const FlowFigure& figure) {
   out += ",\"rb23\":" + runningStatsToJson(figure.regionBoundary23);
   out += "}";
   return out;
-}
-
-FlowFigure flowFigureFromJson(const json::Value& value) {
-  FlowFigure figure;
-  figure.flow = static_cast<FlowId>(value.at("flow").asInt64());
-  for (const json::Value& entry : value.at("rx_by_car").asArray()) {
-    const auto car = static_cast<NodeId>(entry.at("car").asInt64());
-    figure.rxByCar[car] = seriesFromJson(entry.at("cells"));
-  }
-  figure.afterCoop = seriesFromJson(value.at("after_coop"));
-  figure.joint = seriesFromJson(value.at("joint"));
-  figure.regionBoundary12 = runningStatsFromJson(value.at("rb12"));
-  figure.regionBoundary23 = runningStatsFromJson(value.at("rb23"));
-  return figure;
 }
 
 void runningStatsToBin(util::BinWriter& out, const RunningStats& stats) {

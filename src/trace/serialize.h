@@ -1,50 +1,39 @@
 #pragma once
 
 /// \file serialize.h
-/// JSON (de)serialization of the trace-layer merge states, used by the
-/// campaign partial-result format (runner/accumulate.h). Every
-/// RunningStats is written as its full Welford state, so a round-trip is
-/// bit-identical: folding deserialized partials produces the same bytes
-/// as folding the in-process results they were serialized from.
+/// Serialization of the trace-layer merge states. The binary pairs carry
+/// the campaign partial format v3 (runner/partial_binary.h): every
+/// RunningStats travels as its full Welford state in raw IEEE-754
+/// payloads, so a round trip is bit-exact by construction and folding
+/// deserialized partials produces the same bytes as folding the
+/// in-process results they were serialized from. The JSON renderings
+/// are write-only: full-precision text of the same merge states, which
+/// is how results are compared byte for byte.
 
 #include <string>
 
 #include "trace/aggregate.h"
 #include "util/binio.h"
-#include "util/json.h"
 
 namespace vanet::trace {
 
 /// Table1Data as a JSON object: {"rounds":N,"rows":[{"car":..,"stats":[..]}]}.
 std::string table1ToJson(const Table1Data& data);
 
-/// Parses table1ToJson() output; throws std::runtime_error on malformed
-/// or version-incompatible input.
-Table1Data table1FromJson(const json::Value& value);
-
 /// FlowFigure as a JSON object (flow id, per-car cell series, after-coop
 /// and joint series, region-boundary stats).
 std::string flowFigureToJson(const FlowFigure& figure);
 
-/// Parses flowFigureToJson() output; throws std::runtime_error on
-/// malformed input.
-FlowFigure flowFigureFromJson(const json::Value& value);
-
-/// Shared helpers for other serializers: one RunningStats merge-state as
-/// a compact JSON array `[count,mean,m2,sum,min,max]` (`[0]` when empty).
+/// One RunningStats merge-state as a compact JSON array
+/// `[count,mean,m2,sum,min,max]` (`[0]` when empty).
 std::string runningStatsToJson(const RunningStats& stats);
-RunningStats runningStatsFromJson(const json::Value& value);
 
 /// A SeriesAccumulator as an array of cell states.
 std::string seriesToJson(const SeriesAccumulator& series);
-SeriesAccumulator seriesFromJson(const json::Value& value);
 
-/// Binary twins of the JSON serializers above, used by the compact
-/// campaign-partial format v3 (runner/partial_binary.h). Writer and
-/// reader share the same column lists as the JSON pair, so the two wire
-/// formats cannot drift apart; doubles travel as raw IEEE-754 payloads,
-/// which makes the round trip bit-exact by construction rather than by
-/// shortest-round-trip formatting.
+/// Binary writer/reader pairs of the campaign partial format. Writer
+/// and reader share one column list per type, so they cannot drift
+/// apart.
 void runningStatsToBin(util::BinWriter& out, const RunningStats& stats);
 RunningStats runningStatsFromBin(util::BinReader& in);
 

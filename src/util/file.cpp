@@ -17,6 +17,14 @@ std::ofstream openForRewrite(const std::string& path, std::ios::openmode mode) {
   return std::ofstream(path, mode | std::ios::out | std::ios::trunc);
 }
 
+bool writeFile(const std::string& path, std::string_view bytes) {
+  std::ofstream out = openForRewrite(path, std::ios::binary);
+  if (!out) return false;
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  out.close();
+  return !out.fail();
+}
+
 void requireOutputDir(const std::string& flag, const std::string& dir) {
   namespace fs = std::filesystem;
   const std::string shown = dir.empty() ? "." : dir;

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <ios>
 #include <string>
+#include <string_view>
 
 namespace vanet::util {
 
@@ -19,6 +20,13 @@ namespace vanet::util {
 /// tmp+rename for that.
 std::ofstream openForRewrite(const std::string& path,
                              std::ios::openmode mode = std::ios::out);
+
+/// Replaces the contents of `path` with exactly `bytes` (opened with
+/// openForRewrite). True only when the open, the write and the close all
+/// succeed: a short write still held in the stream buffer fails at the
+/// final flush, which a stream destructor would silently drop. Callers
+/// log their own message on false.
+bool writeFile(const std::string& path, std::string_view bytes);
 
 /// Fails fast on an output location, before any work that would be lost:
 /// throws std::runtime_error naming `flag` and `dir` unless `dir` (empty =

@@ -145,10 +145,10 @@ void Flags::allowOnly(const std::vector<std::string>& known) const {
 }
 
 std::vector<std::string> campaignFlagNames() {
-  return {"seed",        "threads",      "round-threads",    "shard",
-          "partial-out", "partial-format", "checkpoint",     "resume",
-          "halt-after-waves", "streaming", "target-ci",      "min-reps",
-          "max-reps",    "target-metric", "progress",        "log-level"};
+  return {"seed",       "threads",  "round-threads", "shard",
+          "partial-out", "checkpoint", "resume",       "halt-after-waves",
+          "target-ci",  "min-reps", "max-reps",      "target-metric",
+          "progress",   "log-level"};
 }
 
 bool Flags::getBool(const std::string& name, bool fallback) const {
@@ -169,11 +169,6 @@ CampaignRunFlags campaignRunFlags(const Flags& flags,
   run.roundThreads = flags.getInt("round-threads", 1);
   run.shard = flags.getShard("shard");
   run.partialOut = flags.getString("partial-out", "");
-  run.partialFormat = flags.getString("partial-format", "");
-  if (!run.partialFormat.empty() && run.partialFormat != "bin" &&
-      run.partialFormat != "json") {
-    badValue("partial-format", run.partialFormat, "'bin' or 'json'");
-  }
   run.checkpoint = flags.getString("checkpoint", "");
   run.resume = flags.getBool("resume", false);
   if (run.resume && run.checkpoint.empty()) {
@@ -181,7 +176,6 @@ CampaignRunFlags campaignRunFlags(const Flags& flags,
     std::exit(2);
   }
   run.haltAfterWaves = flags.getInt("halt-after-waves", -1);
-  run.streaming = flags.getBool("streaming", false);
   run.targetCi = flags.getDouble("target-ci", 0.0);
   run.minReps = flags.getInt("min-reps", 0);
   run.maxReps = flags.getInt("max-reps", 0);

@@ -73,10 +73,7 @@ std::vector<std::string> campaignFlagNames();
 ///                      thread budget has left); results are identical
 ///                      for every value
 ///   --shard=i/N        run shard i of N (whole grid points)
-///   --partial-out=F    write this shard's partial result to F
-///   --partial-format=X partial encoding: "bin" (compact binary v3) or
-///                      "json"; omit for the default (binary for --shard
-///                      runs, JSON otherwise)
+///   --partial-out=F    write this shard's binary partial result to F
 ///   --checkpoint=F     write a binary checkpoint partial to F at every
 ///                      replication-wave barrier (atomically)
 ///   --resume           restore the fold state from --checkpoint=F and
@@ -85,8 +82,6 @@ std::vector<std::string> campaignFlagNames();
 ///                      run
 ///   --halt-after-waves=K  stop after K wave barriers (kill simulation
 ///                      for checkpoint tests; default: run to completion)
-///   --streaming        fold results through the bounded reordering
-///                      window (O(points+threads) memory)
 ///   --target-ci=X      adaptive replication: stop a grid point once the
 ///                      95 % CI half-width of the target metric divided
 ///                      by |mean| drops to X, which must be > 0 (omit
@@ -106,13 +101,9 @@ struct CampaignRunFlags {
   int roundThreads = 1;
   ShardSpec shard{};
   std::string partialOut;
-  /// Partial-file encoding: "bin", "json", or empty for the format-auto
-  /// default (binary when sharded, JSON otherwise).
-  std::string partialFormat;
   std::string checkpoint;     ///< per-wave checkpoint file; empty = off
   bool resume = false;        ///< restore from `checkpoint` first
   int haltAfterWaves = -1;    ///< stop after K barriers (< 0: run all)
-  bool streaming = false;
   double targetCi = 0.0;  ///< <= 0 keeps the fixed replication count
   int minReps = 0;        ///< 0 = derive from the fixed count
   int maxReps = 0;        ///< 0 = engine default

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -166,6 +167,20 @@ TEST(CsvTest, Table1Export) {
 
 TEST(CsvTest, UnwritablePathFails) {
   EXPECT_FALSE(writeSeriesCsv("/nonexistent-dir/x.csv", "i", {"a"}, {{1.0}}));
+}
+
+TEST(CsvTest, FullDiskFailsEveryWriter) {
+  // Each file is far below the stream buffer size, so the write fails
+  // only when the file is closed; that failure must still reach the
+  // caller.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const std::string link = ::testing::TempDir() + "/full_disk.csv";
+  std::filesystem::remove(link);
+  std::filesystem::create_symlink("/dev/full", link);
+  EXPECT_FALSE(writeSeriesCsv(link, "i", {"a"}, {{1.0}}));
+  EXPECT_FALSE(writeTable1Csv(link, sampleTable()));
+  EXPECT_FALSE(writeRowsCsv(link, {"a"}, {{"1"}}));
+  std::filesystem::remove(link);
 }
 
 }  // namespace

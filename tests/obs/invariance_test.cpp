@@ -77,12 +77,6 @@ TEST(ObsInvarianceTest, WorkCountersEqualAcrossScheduleAxes) {
   runCampaign(config);
   EXPECT_EQ(workCounters(obs::takeSnapshot()), serial);
 
-  config.streaming = true;
-  obs::resetAll();
-  runCampaign(config);
-  EXPECT_EQ(workCounters(obs::takeSnapshot()), serial);
-
-  config.streaming = false;
   config.roundThreads = 2;
   obs::resetAll();
   runCampaign(config);

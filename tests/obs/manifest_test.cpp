@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <stdexcept>
@@ -23,7 +24,6 @@ RunManifest fullManifest() {
   manifest.roundThreads = 1;
   manifest.shardIndex = 1;
   manifest.shardCount = 3;
-  manifest.streaming = true;
   manifest.targetCi = 0.05;
   manifest.targetMetric = "pct_lost_after";
   manifest.wallSeconds = 1.25;
@@ -48,7 +48,6 @@ TEST(ObsManifestTest, RoundTripsEveryField) {
   EXPECT_EQ(parsed.roundThreads, original.roundThreads);
   EXPECT_EQ(parsed.shardIndex, original.shardIndex);
   EXPECT_EQ(parsed.shardCount, original.shardCount);
-  EXPECT_EQ(parsed.streaming, original.streaming);
   EXPECT_DOUBLE_EQ(parsed.targetCi, original.targetCi);
   EXPECT_EQ(parsed.targetMetric, original.targetMetric);
   EXPECT_DOUBLE_EQ(parsed.wallSeconds, original.wallSeconds);
@@ -118,6 +117,20 @@ TEST(ObsManifestTest, WriteSidecarLandsNextToArtifactAndParses) {
   EXPECT_FALSE(writeManifestSidecar(manifest));
 }
 
+TEST(ObsManifestTest, SidecarOnAFullDiskReportsFailure) {
+  // A sidecar is far below the stream buffer size, so its write fails
+  // only when the file is closed; that failure must still reach the
+  // caller.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  RunManifest manifest = fullManifest();
+  manifest.artifact = ::testing::TempDir() + "/full_disk_probe.csv";
+  const std::string sidecar = manifestPathFor(manifest.artifact);
+  std::filesystem::remove(sidecar);
+  std::filesystem::create_symlink("/dev/full", sidecar);
+  EXPECT_FALSE(writeManifestSidecar(manifest));
+  std::filesystem::remove(sidecar);
+}
+
 TEST(ObsManifestTest, SetRunSpecFlowsIntoEveryManifest) {
   setRunSpec("specs/ablation_speed.json", 0x0123456789abcdefULL);
   EXPECT_EQ(runSpecPath(), "specs/ablation_speed.json");
@@ -142,7 +155,9 @@ TEST(ObsManifestTest, SetRunSpecFlowsIntoEveryManifest) {
 
 TEST(ObsManifestTest, ManifestsWithoutSpecKeysStillParse) {
   // Sidecars written before the spec layer carry no spec_path or
-  // spec_digest; they parse with the flag-assembled defaults.
+  // spec_digest; they parse with the flag-assembled defaults. Sidecars
+  // from builds with a selectable executor backend carry a "streaming"
+  // key, which is ignored like any unknown key.
   RunManifest old = fullManifest();
   old.specPath.clear();
   old.specDigest = 0;
@@ -159,10 +174,18 @@ TEST(ObsManifestTest, ManifestsWithoutSpecKeysStillParse) {
     }
     start = end + 1;
   }
-  const RunManifest parsed = manifestFromJson(pruned);
-  EXPECT_EQ(parsed.specPath, "");
-  EXPECT_EQ(parsed.specDigest, 0u);
-  EXPECT_EQ(parsed.scenario, old.scenario);
+  std::string withStreaming = pruned;
+  const std::string anchor = "\"shard_count\":3,\n";
+  const std::size_t at = withStreaming.find(anchor);
+  ASSERT_NE(at, std::string::npos);
+  withStreaming.insert(at + anchor.size(), "\"streaming\":true,\n");
+  for (const std::string& archived : {pruned, withStreaming}) {
+    const RunManifest parsed = manifestFromJson(archived);
+    EXPECT_EQ(parsed.specPath, "");
+    EXPECT_EQ(parsed.specDigest, 0u);
+    EXPECT_EQ(parsed.scenario, old.scenario);
+    EXPECT_EQ(parsed.shardCount, old.shardCount);
+  }
 }
 
 TEST(ObsManifestTest, MalformedSpecDigestIsRejected) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <stdexcept>
 #include <string>
@@ -11,6 +12,8 @@
 
 #include "runner/campaign.h"
 #include "runner/emit.h"
+#include "runner/partial_binary.h"
+#include "testing/partial_text.h"
 
 namespace vanet::runner {
 namespace {
@@ -41,27 +44,6 @@ std::string allFigureCsvs(const CampaignResult& result) {
   return out;
 }
 
-TEST(AccumulateTest, PartialJsonRoundTripIsByteStable) {
-  const CampaignResult result = runCampaign(urbanCampaign());
-  const CampaignPartial partial = campaignPartial(result);
-  const std::string text = campaignPartialJson(partial);
-  const CampaignPartial parsed = parseCampaignPartial(text);
-  // serialize -> parse -> serialize reproduces the bytes exactly: the
-  // Welford merge-states survive the round trip bit for bit.
-  EXPECT_EQ(campaignPartialJson(parsed), text);
-  EXPECT_EQ(parsed.scenario, "urban");
-  EXPECT_EQ(parsed.masterSeed, 2008u);
-  EXPECT_EQ(parsed.replications, 2);
-  EXPECT_EQ(parsed.totalPoints, 4u);
-  EXPECT_EQ(parsed.totalJobs, 8u);
-  ASSERT_EQ(parsed.points.size(), 4u);
-  // The emitted artefacts of the round-tripped result match too.
-  CampaignResult back = resultFromPartials({parsed});
-  EXPECT_EQ(campaignPointsJson(back), campaignPointsJson(result));
-  EXPECT_EQ(campaignCsv(back), campaignCsv(result));
-  EXPECT_EQ(allFigureCsvs(back), allFigureCsvs(result));
-}
-
 TEST(AccumulateTest, TwoShardsMergeBitIdenticalToSingleProcess) {
   CampaignConfig config = urbanCampaign();
   config.threads = 1;
@@ -75,9 +57,9 @@ TEST(AccumulateTest, TwoShardsMergeBitIdenticalToSingleProcess) {
     EXPECT_EQ(result.points.size(), 2u);  // 4 points round-robin over 2
     EXPECT_EQ(result.jobCount, 4u);
     EXPECT_EQ(result.totalJobs, 8u);
-    // File round trip, exactly as two processes would exchange them.
-    partials.push_back(
-        parseCampaignPartial(campaignPartialJson(campaignPartial(result))));
+    // Byte round trip, exactly as two processes would exchange them.
+    partials.push_back(parseCampaignPartialBinary(
+        campaignPartialBinary(campaignPartial(result))));
   }
   const CampaignResult merged = resultFromPartials(std::move(partials));
   EXPECT_EQ(merged.points.size(), 4u);
@@ -106,9 +88,8 @@ TEST(AccumulateTest, EmptyShardsRoundTripAndMerge) {
   std::vector<CampaignPartial> partials;
   for (int shard = 0; shard < 6; ++shard) {
     config.shard = Shard{shard, 6};
-    partials.push_back(
-        parseCampaignPartial(campaignPartialJson(campaignPartial(
-            runCampaign(config)))));
+    partials.push_back(parseCampaignPartialBinary(
+        campaignPartialBinary(campaignPartial(runCampaign(config)))));
   }
   EXPECT_TRUE(partials[4].points.empty());
   const CampaignResult merged = resultFromPartials(std::move(partials));
@@ -142,7 +123,7 @@ TEST(AccumulateTest, MergeErrorsNameShardSpecAndSourceFile) {
   CampaignConfig config = urbanCampaign();
   config.shard = Shard{0, 2};
   const CampaignResult result = runCampaign(config);
-  const std::string path = ::testing::TempDir() + "/culprit_shard0.json";
+  const std::string path = ::testing::TempDir() + "/culprit_shard0.vpart";
   ASSERT_TRUE(writeCampaignPartial(path, campaignPartial(result)));
 
   // A partial read back from disk remembers its file; merge failures
@@ -170,28 +151,58 @@ TEST(AccumulateTest, MergeErrorsNameShardSpecAndSourceFile) {
   }
 }
 
-TEST(AccumulateTest, ReadErrorsNameTheFile) {
-  const std::string path = ::testing::TempDir() + "/broken_partial.json";
-  std::ofstream(path) << "{\"format\":\"other\",\"version\":1}";
-  try {
-    readCampaignPartial(path);
-    FAIL() << "foreign document must not parse";
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find(path), std::string::npos)
-        << error.what();
-  }
+/// A version-2 JSON partial as builds before the binary-only format
+/// wrote it (one point, one metric).
+constexpr const char* kJsonV2Partial = R"({
+"format":"vanet-campaign-partial",
+"version":2,
+"scenario":"urban",
+"master_seed":2008,
+"shard_index":0,
+"shard_count":1,
+"replications":2,
+"target_ci":0,
+"min_replications":0,
+"max_replications":0,
+"target_metric":"",
+"grid_points":1,
+"job_count":2,
+"points":[
+ {"grid_index":0,"case":"","replications":2,"rounds":4,"achieved_ci95":0,"params":{"rounds":2},"table1":{"rounds":0,"rows":[]},"figures":[],"totals":{"requests":[0],"request_seqs":[0],"coop_data":[0],"suppressed":[0],"hellos":[0],"buffered":[0],"medium":{"tx":0,"delivered":0,"below_sensitivity":0,"collided":0,"channel_error":0,"burst_lost":0,"half_duplex_missed":0,"corrupt_delivered":0}},"metrics":{"pdr":[2,0.625,0.03125,1.25,0.5,0.75]}}
+]
+}
+)";
+
+TEST(AccumulateTest, LegacyJsonPartialFailsByNameOnEveryReadPath) {
+  const std::string path = ::testing::TempDir() + "/legacy_v2.json";
+  std::ofstream(path) << kJsonV2Partial;
+  const auto expectNamed = [&path](const std::function<void()>& read) {
+    try {
+      read();
+      FAIL() << "a JSON partial must not be accepted";
+    } catch (const std::runtime_error& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find(path), std::string::npos) << what;
+      EXPECT_NE(what.find("not a binary campaign partial"), std::string::npos)
+          << what;
+    }
+  };
+  expectNamed([&path] { readCampaignPartial(path); });
+  expectNamed([&path] { mergeCampaignPartialFiles({path}); });
+  CampaignConfig resume = urbanCampaign();
+  resume.checkpointPath = path;
+  resume.resume = true;
+  expectNamed([&resume] { runCampaign(resume); });
 }
 
-TEST(AccumulateTest, BinaryReadErrorsNameFileAndByteOffset) {
-  // The binary reader must match the JSON reader's error contract --
-  // the failing file is always named -- and add the byte offset of the
-  // damage, which text formats cannot give.
+TEST(AccumulateTest, ReadErrorsNameFileAndByteOffset) {
+  // The failing file is always named, together with the byte offset of
+  // the damage.
   CampaignConfig config = urbanCampaign();
   config.shard = Shard{0, 2};
   const std::string good = ::testing::TempDir() + "/bin_ok.part";
   ASSERT_TRUE(writeCampaignPartial(good,
-                                   campaignPartial(runCampaign(config)),
-                                   PartialFormat::kBinary));
+                                   campaignPartial(runCampaign(config))));
   std::string bytes;
   {
     std::ifstream in(good, std::ios::binary);
@@ -216,8 +227,7 @@ TEST(AccumulateTest, MergeFilesReportsTheUnreadableFile) {
   config.shard = Shard{0, 2};
   const std::string good = ::testing::TempDir() + "/merge_ok.part";
   ASSERT_TRUE(writeCampaignPartial(good,
-                                   campaignPartial(runCampaign(config)),
-                                   PartialFormat::kBinary));
+                                   campaignPartial(runCampaign(config))));
   const std::string missing = ::testing::TempDir() + "/merge_gone.part";
   try {
     mergeCampaignPartialFiles({good, missing});
@@ -228,27 +238,17 @@ TEST(AccumulateTest, MergeFilesReportsTheUnreadableFile) {
   }
 }
 
-TEST(AccumulateTest, ParseRejectsWrongFormatAndVersion) {
-  EXPECT_THROW(parseCampaignPartial("{}"), std::runtime_error);
-  EXPECT_THROW(parseCampaignPartial("not json at all {"),
-               std::runtime_error);
-  EXPECT_THROW(
-      parseCampaignPartial(
-          R"({"format":"vanet-campaign-partial","version":999})"),
-      std::runtime_error);
-  EXPECT_THROW(parseCampaignPartial(R"({"format":"other","version":1})"),
-               std::runtime_error);
-}
-
 TEST(AccumulateTest, PartialFileWriteReadRoundTrip) {
   CampaignConfig config = urbanCampaign();
   config.shard = Shard{0, 2};
   const CampaignResult result = runCampaign(config);
-  const std::string path = ::testing::TempDir() + "/shard0.json";
+  const std::string path = ::testing::TempDir() + "/shard0.vpart";
   ASSERT_TRUE(writeCampaignPartial(path, campaignPartial(result)));
-  const CampaignPartial back = readCampaignPartial(path);
-  EXPECT_EQ(campaignPartialJson(back),
-            campaignPartialJson(campaignPartial(result)));
+  CampaignPartial back = readCampaignPartial(path);
+  EXPECT_EQ(back.sourcePath, path);
+  back.sourcePath.clear();
+  EXPECT_EQ(testing::partialText(back),
+            testing::partialText(campaignPartial(result)));
   EXPECT_THROW(readCampaignPartial(path + ".missing"), std::runtime_error);
 }
 
@@ -266,7 +266,7 @@ TEST(AccumulateTest, Int64RoundsSurviveSerialization) {
   partial.totalJobs = 1;
   partial.points.push_back(std::move(point));
   const CampaignPartial back =
-      parseCampaignPartial(campaignPartialJson(partial));
+      parseCampaignPartialBinary(campaignPartialBinary(partial));
   ASSERT_EQ(back.points.size(), 1u);
   EXPECT_EQ(back.points[0].rounds, 3000000000LL);
 }

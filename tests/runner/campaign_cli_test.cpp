@@ -1,9 +1,11 @@
 // vanet_campaign fails fast on unusable output paths: the error names the
 // flag and the path, the exit status is nonzero, and no job runs (no
 // `--progress` line, which the first finished job always prints, and no
-// `--checkpoint` file, which every wave barrier writes).
+// `--checkpoint` file, which every wave barrier writes). Artefact writes
+// that fail after the run fail the exit status too.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdlib>
 #include <filesystem>
@@ -33,13 +35,14 @@ class CampaignCliTest : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(dir_); }
 
-  /// Runs `vanet_campaign run ablation_speed.json <flags> --progress
+  /// Runs `vanet_campaign run <spec>.json <flags> --progress
   /// --checkpoint=<dir>/ck.bin`.
-  CliRun run(const std::string& flags) const {
+  CliRun run(const std::string& flags,
+             const std::string& spec = "ablation_speed") const {
     const fs::path log = dir_ / "cli.log";
     const std::string command =
-        std::string(VANET_CAMPAIGN_BIN) + " run " + VANET_SPEC_DIR +
-        "/ablation_speed.json " + flags + " --progress --checkpoint=" +
+        std::string(VANET_CAMPAIGN_BIN) + " run " + VANET_SPEC_DIR + "/" +
+        spec + ".json " + flags + " --progress --checkpoint=" +
         checkpoint().string() + " > " + log.string() + " 2>&1";
     CliRun result;
     result.status = std::system(command.c_str());
@@ -89,6 +92,19 @@ TEST_F(CampaignCliTest, MissingPartialOutParentFailsBeforeAnyJob) {
             std::string::npos)
       << result.output;
   EXPECT_FALSE(anyJobRan(result)) << result.output;
+}
+
+TEST_F(CampaignCliTest, ArtefactOnAFullDiskFailsTheRun) {
+  // table1.csv is a few hundred bytes: the failed write surfaces only
+  // when the file is closed, and must still fail the exit status.
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  fs::create_symlink("/dev/full", dir_ / "table1.csv");
+  const CliRun result = run("--csv=" + dir_.string(), "table1");
+  ASSERT_TRUE(WIFEXITED(result.status)) << result.output;
+  EXPECT_EQ(WEXITSTATUS(result.status), 1) << result.output;
+  EXPECT_EQ(result.output.find("wrote " + (dir_ / "table1.csv").string()),
+            std::string::npos)
+      << result.output;
 }
 
 TEST_F(CampaignCliTest, UsableOutputPathsRunTheCampaign) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <set>
@@ -248,6 +249,32 @@ TEST(CampaignEmitTest, ArtefactWritersDropManifestSidecars) {
   std::string artefactText((std::istreambuf_iterator<char>(artefact)),
                            std::istreambuf_iterator<char>());
   EXPECT_EQ(artefactText, campaignJson(result));
+}
+
+TEST(CampaignEmitTest, WritersReportAFullDisk) {
+  // A one-point result renders every artefact far below the stream
+  // buffer size, so a full disk shows only when the file is closed; each
+  // writer must still report it.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  CampaignResult result;
+  result.scenario = "synthetic";
+  result.replications = 1;
+  result.totalPoints = 1;
+  result.totalJobs = 1;
+  GridPointSummary point;
+  point.replications = 1;
+  point.rounds = 1;
+  point.metrics["pdr"].add(0.5);
+  result.points.push_back(point);
+
+  const std::string link = ::testing::TempDir() + "/full_disk_artefact";
+  std::filesystem::remove(link);
+  std::filesystem::create_symlink("/dev/full", link);
+  EXPECT_FALSE(writeCampaignCsv(link, result));
+  EXPECT_FALSE(writeCampaignJson(link, result));
+  EXPECT_FALSE(writeFigureCsv(link, trace::FlowFigure{}));
+  EXPECT_FALSE(writeCampaignPartial(link, campaignPartial(result)));
+  std::filesystem::remove(link);
 }
 
 TEST(CampaignEmitTest, JsonCarriesHeaderAndPoints) {

@@ -1,24 +1,33 @@
 /// \file checkpoint_test.cpp
 /// Per-wave checkpoint/resume: a campaign killed at a wave barrier and
 /// restarted from its checkpoint file must emit byte-identical final
-/// artefacts -- across thread counts, streaming mode, and shard merges --
-/// and a checkpoint must never be mistaken for a finished shard partial.
+/// artefacts -- across thread counts and shard merges -- a checkpoint
+/// must never be mistaken for a finished shard partial, and a damaged or
+/// unwritable checkpoint must fail loudly instead of losing work.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "runner/campaign.h"
 #include "runner/emit.h"
 #include "runner/partial_binary.h"
+#include "util/binio.h"
 
 namespace vanet::runner {
 namespace {
+
+/// Jobs the noise scenario has run, so a test can prove that a failed
+/// resume simulated nothing.
+std::atomic<int> gNoiseJobs{0};
 
 /// Same synthetic scenario the adaptive tests use: "noise" = 0 reports a
 /// constant metric (converges at the floor), anything else spreads
@@ -30,6 +39,7 @@ const std::string& noiseScenario() {
         "constant or seed-noisy metric, no simulation",
         {{"noise", 0.0, "0 = constant metric, else noise amplitude"}},
         [](const JobContext& context) {
+          gNoiseJobs.fetch_add(1, std::memory_order_relaxed);
           JobResult result;
           const double noise = context.params.get("noise", 0.0);
           result.metrics["m"] =
@@ -77,7 +87,7 @@ TEST(CheckpointTest, HaltAfterWaveWritesResumableCheckpoint) {
   // marked incomplete.
   const CampaignPartial checkpoint =
       readCampaignPartial(config.checkpointPath);
-  EXPECT_TRUE(looksLikeBinaryPartial(slurp(config.checkpointPath)));
+  EXPECT_EQ(slurp(config.checkpointPath).rfind("VNETPART", 0), 0u);
   EXPECT_TRUE(checkpoint.hasCheckpoint);
   EXPECT_FALSE(checkpoint.checkpointComplete);
   EXPECT_EQ(checkpoint.checkpointCoveredReps, 2);  // wave 0 covers min=2
@@ -111,20 +121,19 @@ TEST(CheckpointTest, EveryInterruptionPointResumesByteIdentical) {
   }
 }
 
-TEST(CheckpointTest, ResumeIsByteIdenticalAcrossThreadsAndStreaming) {
+TEST(CheckpointTest, ResumeIsByteIdenticalAcrossThreads) {
   CampaignConfig config = mixedAdaptive();
   config.threads = 1;
   const CampaignResult reference = runCampaign(config);
 
-  // Die single-threaded, resume on 4 streaming workers: the fold state
-  // in the checkpoint is execution-order independent.
+  // Die single-threaded, resume on 4 workers: the fold state in the
+  // checkpoint is execution-order independent.
   config.checkpointPath = ::testing::TempDir() + "/threads.ckpt";
   config.haltAfterWaves = 2;
   ASSERT_TRUE(runCampaign(config).halted);
   config.haltAfterWaves = -1;
   config.resume = true;
   config.threads = 4;
-  config.streaming = true;
   const CampaignResult resumed = runCampaign(config);
   EXPECT_EQ(campaignPointsJson(resumed), campaignPointsJson(reference));
   EXPECT_EQ(campaignCsv(resumed), campaignCsv(reference));
@@ -150,8 +159,7 @@ TEST(CheckpointTest, ShardedResumesMergeByteIdentical) {
     const CampaignResult result = runCampaign(sharded);
     const std::string path = ::testing::TempDir() + "/shard" +
                              std::to_string(shard) + ".part";
-    ASSERT_TRUE(writeCampaignPartial(path, campaignPartial(result),
-                                     PartialFormat::kBinary));
+    ASSERT_TRUE(writeCampaignPartial(path, campaignPartial(result)));
     partialPaths.push_back(path);
   }
   const CampaignResult merged = resultFromPartialFiles(partialPaths);
@@ -209,8 +217,7 @@ TEST(CheckpointTest, ResumeValidatesTheCheckpoint) {
   CampaignConfig donor = mixedAdaptive();
   const std::string partialPath = ::testing::TempDir() + "/finished.part";
   ASSERT_TRUE(writeCampaignPartial(partialPath,
-                                   campaignPartial(runCampaign(donor)),
-                                   PartialFormat::kBinary));
+                                   campaignPartial(runCampaign(donor))));
   CampaignConfig wrongKind = config;
   wrongKind.checkpointPath = partialPath;
   try {
@@ -221,6 +228,80 @@ TEST(CheckpointTest, ResumeValidatesTheCheckpoint) {
               std::string::npos)
         << error.what();
   }
+}
+
+TEST(CheckpointTest, TruncatedCheckpointFailsResumeBeforeAnyJob) {
+  CampaignConfig config = mixedAdaptive();
+  config.checkpointPath = ::testing::TempDir() + "/intact.ckpt";
+  config.haltAfterWaves = 1;
+  ASSERT_TRUE(runCampaign(config).halted);
+  const std::string bytes = slurp(config.checkpointPath);
+
+  // Prologue: magic (8), version (4) and section count (4), then one
+  // 24-byte table entry {id, flags, offset u64, length u64} per section:
+  // header, checkpoint, points.
+  const std::size_t table = 16;
+  const std::size_t header = table + 3 * 24;
+  util::BinReader pointsEntry(
+      std::string_view(bytes).substr(table + 2 * 24 + 8, 8));
+  const std::size_t points = pointsEntry.u64("points section offset");
+  ASSERT_LT(points + 8 + 10, bytes.size());
+  const std::size_t cuts[] = {
+      0,                 // empty file
+      7,                 // inside the magic
+      table + 10,        // inside the section table
+      header + 5,        // inside the header section
+      points + 8 + 10,   // inside the first point record
+      bytes.size() - 1,  // one byte short of the checksum
+  };
+  for (const std::size_t cut : cuts) {
+    CampaignConfig resume = mixedAdaptive();
+    resume.checkpointPath = ::testing::TempDir() + "/cut" +
+                            std::to_string(cut) + ".ckpt";
+    std::ofstream(resume.checkpointPath, std::ios::binary)
+        << bytes.substr(0, cut);
+    resume.resume = true;
+    gNoiseJobs = 0;
+    try {
+      runCampaign(resume);
+      ADD_FAILURE() << "checkpoint cut at " << cut << " resumed";
+    } catch (const std::runtime_error& error) {
+      const std::string what = error.what();
+      EXPECT_EQ(what.rfind(resume.checkpointPath + ": ", 0), 0u) << what;
+      EXPECT_NE(what.find("byte offset"), std::string::npos) << what;
+    }
+    EXPECT_EQ(gNoiseJobs.load(), 0) << "cut at " << cut;
+  }
+}
+
+TEST(CheckpointTest, FailedCheckpointWriteKeepsThePreviousCheckpoint) {
+  namespace fs = std::filesystem;
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  CampaignConfig config = mixedAdaptive();
+  config.checkpointPath = ::testing::TempDir() + "/full_disk.ckpt";
+  config.haltAfterWaves = 1;
+  ASSERT_TRUE(runCampaign(config).halted);
+  const std::string before = slurp(config.checkpointPath);
+
+  // The next barrier's checkpoint fits the stream buffer, so writing it
+  // to a full disk fails only when FILE.tmp is closed. That failure must
+  // stop the run before the rename replaces the intact checkpoint.
+  const std::string tmp = config.checkpointPath + ".tmp";
+  fs::remove(tmp);
+  fs::create_symlink("/dev/full", tmp);
+  config.haltAfterWaves = -1;
+  config.resume = true;
+  EXPECT_THROW(runCampaign(config), std::runtime_error);
+  fs::remove(tmp);
+
+  EXPECT_TRUE(fs::is_regular_file(fs::symlink_status(config.checkpointPath)));
+  // Read at most one byte past the old size: had the symlink been renamed
+  // over the checkpoint, reads from /dev/full would never end.
+  std::ifstream in(config.checkpointPath, std::ios::binary);
+  std::string after(before.size() + 1, '\0');
+  in.read(after.data(), static_cast<std::streamsize>(after.size()));
+  after.resize(static_cast<std::size_t>(in.gcount()));
+  EXPECT_EQ(after, before);
 }
 
 TEST(CheckpointTest, UnfinishedCheckpointIsNotAMergeableShard) {

@@ -7,6 +7,7 @@
 
 #include "runner/campaign.h"
 #include "runner/emit.h"
+#include "util/reorder.h"
 
 namespace vanet::runner {
 namespace {
@@ -52,73 +53,64 @@ const std::string& throwingScenario() {
   return name;
 }
 
-TEST(ExecutorTest, StreamingMatchesBufferedByteForByte) {
-  // A real multi-threaded urban campaign: the streaming reordering
-  // window must release results in exactly the buffered fold order.
+TEST(ExecutorTest, ParallelMatchesSerialByteForByte) {
+  // A real multi-threaded urban campaign: the reordering window must
+  // release results in exactly the order the single worker claims and
+  // folds them.
   CampaignConfig config;
   config.scenario = "urban";
   config.masterSeed = 2008;
   config.replications = 3;
-  config.threads = 4;
+  config.threads = 1;
   config.base.set("rounds", 1);
   config.base.set("cars", 2);
   config.grid.add("speed_kmh", {20.0, 30.0});
-  const CampaignResult buffered = runCampaign(config);
-  config.streaming = true;
-  const CampaignResult streaming = runCampaign(config);
-  EXPECT_FALSE(buffered.streaming);
-  EXPECT_TRUE(streaming.streaming);
-  EXPECT_EQ(campaignPointsJson(buffered), campaignPointsJson(streaming));
-  EXPECT_EQ(campaignCsv(buffered), campaignCsv(streaming));
+  const CampaignResult serial = runCampaign(config);
+  config.threads = 4;
+  const CampaignResult parallel = runCampaign(config);
+  EXPECT_EQ(campaignPointsJson(serial), campaignPointsJson(parallel));
+  EXPECT_EQ(campaignCsv(serial), campaignCsv(parallel));
   // Figures flow through the same fold.
-  ASSERT_EQ(buffered.points.size(), streaming.points.size());
-  for (std::size_t p = 0; p < buffered.points.size(); ++p) {
-    for (const auto& [flow, figure] : buffered.points[p].figures) {
+  ASSERT_EQ(serial.points.size(), parallel.points.size());
+  for (std::size_t p = 0; p < serial.points.size(); ++p) {
+    for (const auto& [flow, figure] : serial.points[p].figures) {
       EXPECT_EQ(figureSeriesCsv(figure),
-                figureSeriesCsv(streaming.points[p].figures.at(flow)));
+                figureSeriesCsv(parallel.points[p].figures.at(flow)));
     }
   }
 }
 
-TEST(ExecutorTest, StreamingHoldsBoundedResultWindow) {
-  // 240 jobs, 4 workers: the buffered backend would park 240 results;
-  // streaming must never hold more than the O(threads) window cap.
+TEST(ExecutorTest, HoldsBoundedResultWindow) {
+  // 240 jobs, 4 workers: never more than the O(threads) window cap of
+  // completed results waits to be folded.
   CampaignConfig config;
   config.scenario = cheapScenario();
   config.replications = 240;
   config.threads = 4;
-  config.streaming = true;
   const CampaignResult result = runCampaign(config);
   EXPECT_EQ(result.jobCount, 240u);
-  EXPECT_LE(result.peakBufferedResults, streamingWindowCap(4));
+  EXPECT_LE(result.peakBufferedResults, util::reorderWindowCap(4));
   EXPECT_LT(result.peakBufferedResults, result.jobCount);
-  // And the buffered run reports the O(jobCount) peak it actually held.
-  config.streaming = false;
-  EXPECT_EQ(runCampaign(config).peakBufferedResults, 240u);
-  // The bound itself is O(threads), not O(jobs).
-  EXPECT_EQ(streamingWindowCap(4), 8u);
-  EXPECT_EQ(streamingWindowCap(0), 2u);
 }
 
-TEST(ExecutorTest, StreamingFoldMatchesBufferedOnManyJobs) {
+TEST(ExecutorTest, FoldMatchesSerialOnManyJobs) {
   CampaignConfig config;
   config.scenario = cheapScenario();
   config.replications = 240;
+  config.threads = 1;
+  const CampaignResult serial = runCampaign(config);
   config.threads = 4;
-  const CampaignResult buffered = runCampaign(config);
-  config.streaming = true;
-  const CampaignResult streaming = runCampaign(config);
-  EXPECT_EQ(campaignPointsJson(buffered), campaignPointsJson(streaming));
+  const CampaignResult parallel = runCampaign(config);
+  EXPECT_EQ(campaignPointsJson(serial), campaignPointsJson(parallel));
 }
 
-TEST(ExecutorTest, StreamingWorkerExceptionDiscardsPartialFold) {
+TEST(ExecutorTest, WorkerExceptionDiscardsPartialFold) {
   CampaignConfig config;
   config.scenario = throwingScenario();
   config.replications = 16;
   config.threads = 4;
-  config.streaming = true;
-  // The error is rethrown before any result object exists: a failed
-  // streaming run can never emit (or serialize) a truncated summary.
+  // The error is rethrown before any result object exists: a failed run
+  // can never emit (or serialize) a truncated summary.
   EXPECT_THROW(runCampaign(config), std::runtime_error);
   config.threads = 1;
   EXPECT_THROW(runCampaign(config), std::runtime_error);

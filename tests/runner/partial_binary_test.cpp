@@ -12,6 +12,7 @@
 
 #include "runner/campaign.h"
 #include "runner/emit.h"
+#include "testing/partial_text.h"
 #include "util/binio.h"
 
 namespace vanet::runner {
@@ -92,49 +93,33 @@ TEST(PartialBinaryTest, RoundTripIsByteStableAndLossless) {
   const CampaignResult result = runCampaign(urbanCampaign());
   const CampaignPartial partial = campaignPartial(result);
   const std::string bytes = campaignPartialBinary(partial);
-  EXPECT_TRUE(looksLikeBinaryPartial(bytes));
   const CampaignPartial parsed = parseCampaignPartialBinary(bytes);
-  // serialize -> parse -> serialize reproduces the bytes exactly; the
-  // JSON rendering of both partials agrees field for field, so the
-  // binary format loses nothing the text format carries.
+  // serialize -> parse -> serialize reproduces the bytes exactly, and
+  // the text rendering of both partials agrees field for field, so the
+  // format loses nothing.
   EXPECT_EQ(campaignPartialBinary(parsed), bytes);
-  EXPECT_EQ(campaignPartialJson(parsed), campaignPartialJson(partial));
+  EXPECT_EQ(testing::partialText(parsed), testing::partialText(partial));
+  EXPECT_EQ(parsed.totalPoints, 4u);
+  EXPECT_EQ(parsed.totalJobs, 8u);
   // The reassembled result emits the same artefacts.
   CampaignResult back = resultFromPartials({parsed});
   EXPECT_EQ(campaignPointsJson(back), campaignPointsJson(result));
   EXPECT_EQ(campaignCsv(back), campaignCsv(result));
 }
 
-TEST(PartialBinaryTest, FileRoundTripAutoDetectsFormat) {
+TEST(PartialBinaryTest, FileRoundTrip) {
   CampaignConfig config = urbanCampaign();
   config.shard = Shard{0, 2};
   const CampaignResult result = runCampaign(config);
   const std::string path = ::testing::TempDir() + "/shard0.bin";
-  ASSERT_TRUE(writeCampaignPartial(path, campaignPartial(result),
-                                   PartialFormat::kBinary));
-  EXPECT_TRUE(looksLikeBinaryPartial(slurp(path)));
-  // readCampaignPartial never needs to be told the format: the magic
-  // decides, and sourcePath still points back at the file.
-  const CampaignPartial back = readCampaignPartial(path);
+  ASSERT_TRUE(writeCampaignPartial(path, campaignPartial(result)));
+  EXPECT_EQ(slurp(path).rfind("VNETPART", 0), 0u);
+  // sourcePath points back at the file.
+  CampaignPartial back = readCampaignPartial(path);
   EXPECT_EQ(back.sourcePath, path);
-  EXPECT_EQ(campaignPartialJson(back),
-            campaignPartialJson(campaignPartial(result)));
-}
-
-TEST(PartialBinaryTest, AutoFormatPicksBinaryForShardedRuns) {
-  CampaignConfig config = urbanCampaign();
-  config.shard = Shard{1, 2};
-  const CampaignResult result = runCampaign(config);
-  const std::string sharded = ::testing::TempDir() + "/auto_shard.part";
-  const std::string whole = ::testing::TempDir() + "/auto_whole.part";
-  ASSERT_TRUE(writeCampaignPartial(sharded, campaignPartial(result),
-                                   PartialFormat::kAuto));
-  EXPECT_TRUE(looksLikeBinaryPartial(slurp(sharded)));
-  config.shard = Shard{};
-  ASSERT_TRUE(writeCampaignPartial(whole,
-                                   campaignPartial(runCampaign(config)),
-                                   PartialFormat::kAuto));
-  EXPECT_FALSE(looksLikeBinaryPartial(slurp(whole)));  // JSON for 1/1
+  back.sourcePath.clear();
+  EXPECT_EQ(testing::partialText(back),
+            testing::partialText(campaignPartial(result)));
 }
 
 TEST(PartialBinaryTest, StreamingReaderMatchesInMemoryParse) {
@@ -154,7 +139,7 @@ TEST(PartialBinaryTest, StreamingReaderMatchesInMemoryParse) {
   while (reader.nextPoint(point)) streamed.points.push_back(std::move(point));
   EXPECT_EQ(reader.remainingPoints(), 0u);
   streamed.sourcePath.clear();
-  EXPECT_EQ(campaignPartialJson(streamed), campaignPartialJson(partial));
+  EXPECT_EQ(testing::partialText(streamed), testing::partialText(partial));
 }
 
 TEST(PartialBinaryTest, ZeroPointShardStreamsCleanly) {
@@ -172,34 +157,29 @@ TEST(PartialBinaryTest, ZeroPointShardStreamsCleanly) {
   EXPECT_FALSE(reader.nextPoint(unused));
 }
 
-TEST(PartialBinaryTest, MixedFormatShardsMergeByteIdentical) {
+TEST(PartialBinaryTest, ShardFilesMergeByteIdentical) {
   CampaignConfig config = urbanCampaign();
   config.threads = 1;
   const CampaignResult reference = runCampaign(config);
 
-  const std::string jsonPath = ::testing::TempDir() + "/mixed0.json";
-  const std::string binPath = ::testing::TempDir() + "/mixed1.bin";
+  const std::string path0 = ::testing::TempDir() + "/merge0.bin";
+  const std::string path1 = ::testing::TempDir() + "/merge1.bin";
   config.threads = 2;
   config.shard = Shard{0, 2};
-  ASSERT_TRUE(writeCampaignPartial(jsonPath,
-                                   campaignPartial(runCampaign(config)),
-                                   PartialFormat::kJson));
+  ASSERT_TRUE(
+      writeCampaignPartial(path0, campaignPartial(runCampaign(config))));
   config.shard = Shard{1, 2};
-  ASSERT_TRUE(writeCampaignPartial(binPath,
-                                   campaignPartial(runCampaign(config)),
-                                   PartialFormat::kBinary));
+  ASSERT_TRUE(
+      writeCampaignPartial(path1, campaignPartial(runCampaign(config))));
 
-  // One JSON shard, one binary shard, given in reverse order: the merge
-  // must still be byte-identical to the single-process artefacts.
-  const CampaignResult merged =
-      resultFromPartialFiles({binPath, jsonPath});
+  // Shard files given in reverse order: the streamed merge must still be
+  // byte-identical to the single-process artefacts.
+  const CampaignResult merged = resultFromPartialFiles({path1, path0});
   EXPECT_EQ(campaignPointsJson(merged), campaignPointsJson(reference));
   EXPECT_EQ(campaignCsv(merged), campaignCsv(reference));
 }
 
 TEST(PartialBinaryTest, RejectsBadMagicAndVersion) {
-  EXPECT_FALSE(looksLikeBinaryPartial("VNETPARX"));
-  EXPECT_FALSE(looksLikeBinaryPartial("VNE"));  // shorter than the magic
   try {
     parseCampaignPartialBinary("VNETPARX________");
     FAIL() << "bad magic must not parse";
@@ -216,6 +196,39 @@ TEST(PartialBinaryTest, RejectsBadMagicAndVersion) {
                  "unsupported binary campaign partial version 9 "
                  "(supported: 3)");
   }
+}
+
+TEST(PartialBinaryTest, RejectsMalformedAdaptiveHeader) {
+  // An adaptive header with impossible bounds must throw at parse time:
+  // downstream wave arithmetic assumes 1 <= min <= max replications.
+  CampaignPartial partial = syntheticPartial();
+  partial.targetRelativeCi95 = 0.1;
+  partial.minReplications = 2;
+  partial.maxReplications = 8;
+  partial.targetMetric = "m";
+  const std::string good = campaignPartialBinary(partial);
+  // Header layout: scenario (u32 length + bytes), master seed u64, shard
+  // index/count and replications i32, target CI f64, then min and max.
+  const std::size_t minAt =
+      sectionOffset(good, 1) + 4 + partial.scenario.size() + 8 + 3 * 4 + 8;
+  const auto withInt = [&good](std::size_t at, std::int32_t value) {
+    std::string bytes = good;
+    for (int i = 0; i < 4; ++i) {
+      bytes[at + static_cast<std::size_t>(i)] =
+          static_cast<char>((static_cast<std::uint32_t>(value) >> (8 * i)) &
+                            0xff);
+    }
+    return withFixedChecksum(bytes);
+  };
+  EXPECT_THROW(parseCampaignPartialBinary(withInt(minAt, 0)),
+               std::runtime_error);
+  EXPECT_THROW(parseCampaignPartialBinary(withInt(minAt + 4, 1)),
+               std::runtime_error);
+  // The untouched stream still parses, and rewriting the same values is
+  // a no-op (the offsets above point at the real fields).
+  EXPECT_NO_THROW(parseCampaignPartialBinary(good));
+  EXPECT_EQ(withInt(minAt, 2), good);
+  EXPECT_EQ(withInt(minAt + 4, 8), good);
 }
 
 TEST(PartialBinaryTest, ChecksumMismatchNamesStoredAndComputed) {
@@ -338,11 +351,10 @@ TEST(PartialBinaryTest, MergeErrorsKeepShardContextForBinaryFiles) {
   CampaignConfig config = urbanCampaign();
   config.shard = Shard{0, 2};
   const std::string path = ::testing::TempDir() + "/ctx_shard0.bin";
-  ASSERT_TRUE(writeCampaignPartial(path,
-                                   campaignPartial(runCampaign(config)),
-                                   PartialFormat::kBinary));
-  // Binary shard files keep the "shard i/N from 'file'" merge context
-  // the JSON path established.
+  ASSERT_TRUE(
+      writeCampaignPartial(path, campaignPartial(runCampaign(config))));
+  // Streamed shard files keep the "shard i/N from 'file'" merge context
+  // of in-memory merges.
   try {
     resultFromPartialFiles({path, path});
     FAIL() << "duplicate shard set must not merge";

@@ -352,7 +352,6 @@ TEST(CampaignSpecTest, ApplyEngineFlagsLeavesTheExperimentAlone) {
   run.roundThreads = 2;
   run.shard.index = 1;
   run.shard.count = 3;
-  run.streaming = true;
   run.progress = true;
   run.checkpoint = "ck.bin";
   run.resume = true;
@@ -365,7 +364,6 @@ TEST(CampaignSpecTest, ApplyEngineFlagsLeavesTheExperimentAlone) {
   EXPECT_EQ(config.roundThreads, 2);
   EXPECT_EQ(config.shard.index, 1);
   EXPECT_EQ(config.shard.count, 3);
-  EXPECT_TRUE(config.streaming);
   EXPECT_TRUE(config.progress);
   EXPECT_EQ(config.checkpointPath, "ck.bin");
   EXPECT_TRUE(config.resume);

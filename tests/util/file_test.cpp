@@ -78,6 +78,15 @@ TEST_F(FileTest, RewriteIntoAMissingDirectoryFailsToOpen) {
   EXPECT_FALSE(openForRewrite((dir_ / "missing" / "out.csv").string()));
 }
 
+TEST_F(FileTest, WriteFileReportsAFullDisk) {
+  // A few bytes stay in the stream buffer until the close, so the
+  // failure only shows there.
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const fs::path link = dir_ / "full.csv";
+  fs::create_symlink("/dev/full", link);
+  EXPECT_FALSE(writeFile(link.string(), "small\n"));
+}
+
 TEST_F(FileTest, RequireOutputDirNamesFlagAndPath) {
   EXPECT_NO_THROW(requireOutputDir("--csv", dir_.string()));
   EXPECT_NO_THROW(requireOutputDir("--partial-out", ""));  // working dir

@@ -114,7 +114,7 @@ TEST(FlagsEdgeDeathTest, AllowOnlyRejectsUnknownFlagsWithDidYouMean) {
 TEST(FlagsTest, AllowOnlyAcceptsTheFullVocabulary) {
   // Every name in the shared campaign vocabulary passes its own check,
   // and positional arguments are never flagged.
-  const Flags flags = parse({"--seed=1", "--threads=2", "--streaming",
+  const Flags flags = parse({"--seed=1", "--threads=2", "--progress",
                              "--target-ci=0.1", "pos0", "pos1"});
   flags.allowOnly(campaignFlagNames());
   EXPECT_EQ(flags.positional().size(), 2u);

@@ -100,14 +100,14 @@ TEST(FlagsTest, ShardSpecDefaultsWhenAbsentOrBare) {
 
 TEST(FlagsTest, CampaignRunFlagsReadSharedVocabulary) {
   const Flags f = parse({"--seed=99", "--threads=3", "--shard=1/2",
-                         "--partial-out=/tmp/p.json", "--streaming"});
+                         "--partial-out=/tmp/p.vpart", "--progress"});
   const CampaignRunFlags run = campaignRunFlags(f);
   EXPECT_EQ(run.seed, 99u);
   EXPECT_EQ(run.threads, 3);
   EXPECT_EQ(run.shard.index, 1);
   EXPECT_EQ(run.shard.count, 2);
-  EXPECT_EQ(run.partialOut, "/tmp/p.json");
-  EXPECT_TRUE(run.streaming);
+  EXPECT_EQ(run.partialOut, "/tmp/p.vpart");
+  EXPECT_TRUE(run.progress);
 }
 
 TEST(FlagsTest, CampaignRunFlagsDefaults) {
@@ -116,7 +116,7 @@ TEST(FlagsTest, CampaignRunFlagsDefaults) {
   EXPECT_EQ(run.threads, 0);
   EXPECT_EQ(run.shard.count, 1);
   EXPECT_TRUE(run.partialOut.empty());
-  EXPECT_FALSE(run.streaming);
+  EXPECT_FALSE(run.progress);
 }
 
 }  // namespace
