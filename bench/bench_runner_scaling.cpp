@@ -10,7 +10,7 @@
 ///   default     highway speed x coop grid; compares campaignPointsJson()
 ///   --figures   urban campaign carrying FlowFigure series; compares the
 ///               emitted figure CSVs (exercises FlowFigure::merge, the
-///               path the figure benches rely on)
+///               path the `figures` emit kind relies on)
 ///   --shard     splits the campaign into 2 and 3 shards, folds the
 ///               partials back with the merge pipeline, and compares
 ///               against the unsharded single-thread run
@@ -18,26 +18,48 @@
 ///               (--laps rounds inside a single job): runs the round
 ///               engine at 1/2/4/N workers and byte-compares Table-1
 ///               JSON *and* every figure CSV against the serial run
-///   --adaptive  CI95-targeted replication (--target-ci / --min-reps /
-///               --max-reps): the wave schedule must be a pure function
-///               of the fold state, so the adaptive campaign is
-///               byte-compared at 1/2/N threads and reassembled from 2
-///               shard processes; also reports the per-point
-///               replications used and achieved CI95
-/// Every mode exits non-zero if any variant changes the bytes.
+///   --adaptive  CI95-targeted replication (target 0.1, 2..8
+///               replications per point): the wave schedule must be a
+///               pure function of the fold state, so the adaptive
+///               campaign is byte-compared at 1/2/N threads and
+///               reassembled from 2 shard processes; also reports the
+///               per-point replications used and achieved CI95
+/// Every mode exits non-zero if any variant changes the bytes. The
+/// default, --figures, --shard and --adaptive campaigns take the shared
+/// engine flags plus --repl (default 4), --rounds=N (3) and --cars (3);
+/// --rounds mode takes --laps (8), --repl (1), --cars and --seed.
 
 #include <algorithm>
 #include <iomanip>
 #include <iostream>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "bench_common.h"
+#include "runner/campaign.h"
+#include "runner/emit.h"
 #include "runner/partial_binary.h"
+#include "runner/spec.h"
+#include "util/flags.h"
 #include "util/thread_pool.h"
 
 namespace {
+
+/// The fixed campaign of the default, --figures, --shard and --adaptive
+/// modes: the shared engine flags plus --repl / --rounds / --cars.
+vanet::runner::CampaignConfig campaignFromFlags(const vanet::Flags& flags,
+                                                std::string scenario) {
+  const vanet::CampaignRunFlags run = vanet::campaignRunFlags(flags);
+  vanet::runner::CampaignConfig config;
+  vanet::runner::applyEngineFlags(run, config);
+  config.scenario = std::move(scenario);
+  config.masterSeed = run.seed;
+  config.replications = flags.getInt("repl", 4);
+  config.base.set("rounds", flags.getInt("rounds", 3));
+  config.base.set("cars", flags.getInt("cars", 3));
+  return config;
+}
 
 /// Every figure CSV of the campaign, concatenated in point/flow order:
 /// byte equality of this string is bit-identity of every merged series.
@@ -235,33 +257,35 @@ int runRoundsMode(const vanet::Flags& flags) {
 int main(int argc, char** argv) {
   using namespace vanet;
   const Flags flags(argc, argv);
-  flags.allowOnly(bench::benchFlagNames(
-      {"figures", "adaptive", "laps", "max-threads"}));
+  {
+    std::vector<std::string> names = campaignFlagNames();
+    names.insert(names.end(), {"repl", "rounds", "cars", "laps", "figures",
+                               "adaptive", "max-threads"});
+    flags.allowOnly(names);
+  }
   const bool figures = flags.getBool("figures", false);
   const bool adaptive = flags.getBool("adaptive", false);
   const bool shardMode = flags.getString("shard", "") == "true";
   // A bare `--rounds` selects the round-engine mode; `--rounds=N` stays
-  // the shared rounds-per-replication knob of the other modes.
+  // the rounds-per-replication knob of the other modes.
   const bool roundsMode = flags.getString("rounds", "") == "true";
-  bench::printHeader(
-      figures    ? "Campaign engine: figure-series merge determinism"
-      : adaptive ? "Campaign engine: adaptive (CI95-targeted) replication "
-                   "determinism"
-      : shardMode? "Campaign engine: shard + merge determinism"
-      : roundsMode
-          ? "Round engine: intra-experiment parallel scaling and determinism"
-          : "Campaign engine: parallel scaling and determinism",
-      "engine study (no paper counterpart)");
+  std::cout << (figures    ? "Campaign engine: figure-series merge determinism"
+                : adaptive ? "Campaign engine: adaptive (CI95-targeted) "
+                             "replication determinism"
+                : shardMode ? "Campaign engine: shard + merge determinism"
+                : roundsMode ? "Round engine: intra-experiment parallel "
+                               "scaling and determinism"
+                             : "Campaign engine: parallel scaling and "
+                               "determinism")
+            << "\n\n";
   if (roundsMode) return runRoundsMode(flags);
 
   runner::CampaignConfig campaign;
   if (figures) {
-    campaign = bench::campaignFromFlags(flags, "urban", /*defaultRounds=*/3,
-                                        /*defaultReplications=*/4);
+    campaign = campaignFromFlags(flags, "urban");
     campaign.grid.add("gossip", {0.0, 1.0});
   } else {
-    campaign = bench::campaignFromFlags(flags, "highway", /*defaultRounds=*/3,
-                                        /*defaultReplications=*/4);
+    campaign = campaignFromFlags(flags, "highway");
     campaign.base.set("aps", 1);
     campaign.base.set("road_length", 2400.0);
     campaign.base.set("first_ap_arc", 1200.0);
@@ -270,16 +294,11 @@ int main(int argc, char** argv) {
   }
 
   if (adaptive) {
-    // A bare --adaptive gets defaults tuned so a short smoke run
-    // genuinely converges some points early and drives others to the
-    // cap. Explicit bounds travel with --target-ci through the shared
-    // flag vocabulary (campaignFromFlags rejects bounds without it, so
-    // nothing is ever silently dropped).
-    if (campaign.targetRelativeCi95 <= 0.0) {
-      campaign.targetRelativeCi95 = 0.1;
-      campaign.minReplications = 2;
-      campaign.maxReplications = 8;
-    }
+    // Bounds tuned so a short smoke run genuinely converges some points
+    // early and drives others to the cap.
+    campaign.targetRelativeCi95 = 0.1;
+    campaign.minReplications = 2;
+    campaign.maxReplications = 8;
     return runAdaptiveMode(std::move(campaign));
   }
 

@@ -16,6 +16,8 @@
 ///       the digest of its normalized rendering. DIR and the directories
 ///       of --partial-out and --checkpoint must exist: a missing one
 ///       fails the run (exit 1) before the first job is simulated.
+///       When the spec emits `table1_csv`, every grid point's Table 1
+///       and loss summary print after the campaign summary.
 ///
 ///   vanet_campaign print spec.json
 ///       Parses, validates and re-renders the spec in normalized form
@@ -26,10 +28,12 @@
 ///       Every registered scenario with its parameters, defaults, and
 ///       default emit kinds.
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <iostream>
 
+#include "analysis/table1.h"
 #include "obs/manifest.h"
 #include "runner/campaign.h"
 #include "runner/emit.h"
@@ -81,7 +85,7 @@ int main(int argc, char** argv) {
 
   if (verb != "run") return usage();
   // Engine knobs only: the experiment definition is the spec's. No
-  // --seed / --rounds / --target-ci here by design -- edit the spec.
+  // --seed / --rounds here by design -- edit the spec.
   std::vector<std::string> known = {
       "threads",    "round-threads", "shard",     "partial-out",
       "checkpoint", "resume",        "halt-after-waves",
@@ -139,6 +143,17 @@ int main(int argc, char** argv) {
     return 0;
   }
   std::cout << runner::renderCampaignSummary(result, config.grid);
+  const std::vector<runner::SpecEmit> emits = runner::resolvedEmits(spec);
+  if (std::any_of(emits.begin(), emits.end(), [](const runner::SpecEmit& e) {
+        return e.kind == "table1_csv";
+      })) {
+    for (const runner::GridPointSummary& point : result.points) {
+      std::cout << "\n";
+      if (result.points.size() > 1) std::cout << "[" << point.gridIndex << "] ";
+      std::cout << analysis::renderTable1(point.table1) << "\n"
+                << analysis::renderLossSummary(point.table1);
+    }
+  }
 
   if (!run.partialOut.empty()) {
     if (!runner::writeCampaignPartial(run.partialOut,

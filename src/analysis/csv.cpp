@@ -1,6 +1,5 @@
 #include "analysis/csv.h"
 
-#include <algorithm>
 #include <sstream>
 
 #include "util/file.h"
@@ -29,26 +28,6 @@ void appendCell(std::string& out, const std::string& cell) {
 }
 
 }  // namespace
-
-bool writeSeriesCsv(const std::string& path, const std::string& indexName,
-                    const std::vector<std::string>& headers,
-                    const std::vector<std::vector<double>>& columns) {
-  std::ostringstream out;
-  out << indexName;
-  for (const auto& header : headers) out << "," << header;
-  out << "\n";
-  std::size_t maxLen = 0;
-  for (const auto& column : columns) maxLen = std::max(maxLen, column.size());
-  for (std::size_t i = 0; i < maxLen; ++i) {
-    out << (i + 1);
-    for (const auto& column : columns) {
-      out << ",";
-      if (i < column.size()) out << column[i];
-    }
-    out << "\n";
-  }
-  return writeCsv(path, out.str());
-}
 
 bool writeTable1Csv(const std::string& path, const trace::Table1Data& data) {
   std::ostringstream out;

@@ -1,8 +1,9 @@
 #pragma once
 
 /// \file csv.h
-/// CSV export of figure series and Table 1 rows, so the paper's plots can
-/// be regenerated with any plotting tool.
+/// CSV export of Table 1 rows and generic row tables (the campaign
+/// emitters' CSVs), readable by any plotting tool. Figure series are
+/// written by runner::figureSeriesCsv.
 
 #include <string>
 #include <vector>
@@ -11,14 +12,8 @@
 
 namespace vanet::analysis {
 
-/// Writes aligned columns to `path`. All columns share the index column
-/// `indexName` starting at 1; shorter columns leave blanks.
-/// Returns false (and logs) on I/O failure.
-bool writeSeriesCsv(const std::string& path, const std::string& indexName,
-                    const std::vector<std::string>& headers,
-                    const std::vector<std::vector<double>>& columns);
-
-/// Writes the Table 1 aggregate (one row per car).
+/// Writes the Table 1 aggregate (one row per car). Returns false (and
+/// logs) on I/O failure.
 bool writeTable1Csv(const std::string& path, const trace::Table1Data& data);
 
 /// Renders a generic table (header row plus pre-formatted cells) as CSV

@@ -3,7 +3,8 @@
 /// \file selection.h
 /// Cooperator-selection policies. The paper uses every one-hop neighbour
 /// and explicitly leaves optimal selection as future work (§6); kBestRssi
-/// and kRandomK exist for the selection ablation bench.
+/// and kRandomK exist for the cooperator-selection ablation
+/// (specs/ablation_cooperator_selection.json).
 
 #include <vector>
 

@@ -92,6 +92,12 @@ void writeCheckpointAtomically(const std::string& path,
 }  // namespace
 
 CampaignResult runCampaign(const CampaignConfig& config) {
+  if (config.haltAfterWaves >= 0 && config.checkpointPath.empty()) {
+    // A halted run returns no points: without a checkpoint the simulated
+    // waves would be thrown away.
+    throw std::invalid_argument(
+        "campaign halt-after-waves needs a checkpoint path");
+  }
   std::unique_ptr<const CampaignPlan> plan;
   {
     OBS_SCOPED_TIMER("campaign.plan");

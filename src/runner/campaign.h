@@ -5,8 +5,8 @@
 /// layers -- plan (plan.h: case x grid expansion, job layout, per-job
 /// seed derivation), execute (executor.h: thread pool plus job-order
 /// reordering window), accumulate (accumulate.h: job-order fold plus
-/// shard partial serialization) -- into the one-call API every bench and
-/// example uses. Per-job determinism comes from
+/// shard partial serialization) -- into the one-call API every campaign
+/// binary uses. Per-job determinism comes from
 /// Rng::deriveStreamSeed(masterSeed, jobIndex): each job owns a private
 /// RNG stream that is a pure function of the master seed and its index,
 /// and results are folded strictly in job order, so the merged output is

@@ -19,7 +19,7 @@ namespace vanet::runner {
 
 /// One CSV row per grid point: grid index (plus the case name when the
 /// campaign declared cases), every swept axis value, replications
-/// (actually used -- the adaptive stop point when --target-ci ran),
+/// (actually used -- the adaptive stop point of an adaptive campaign),
 /// rounds, then mean/stddev/ci95 of every metric (sorted union of metric
 /// names over the campaign; ci95 is the achieved 95 % half-width).
 /// Deterministic.

@@ -31,9 +31,11 @@ class ParamSet {
     return it != values_.end() ? it->second : fallback;
   }
 
-  int getInt(const std::string& name, int fallback) const {
-    return static_cast<int>(get(name, fallback));
-  }
+  /// The value of `name` as an int, or `fallback` when absent. Throws
+  /// std::invalid_argument naming the param when the value is not a
+  /// whole number within int range: a count of 2.5 cars must not run as
+  /// 2, and 1e10 rounds must not reach an undefined conversion.
+  int getInt(const std::string& name, int fallback) const;
 
   bool getBool(const std::string& name, bool fallback) const {
     return get(name, fallback ? 1.0 : 0.0) != 0.0;

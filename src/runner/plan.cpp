@@ -5,8 +5,55 @@
 #include <utility>
 
 #include "util/rng.h"
+#include "util/text.h"
 
 namespace vanet::runner {
+namespace {
+
+bool declares(const ScenarioInfo& scenario, const std::string& name) {
+  for (const ParamSpec& spec : scenario.params) {
+    if (spec.name == name) return true;
+  }
+  return false;
+}
+
+[[noreturn]] void rejectUndeclared(const ScenarioInfo& scenario,
+                                   const std::string& name,
+                                   const std::string& where) {
+  std::vector<std::string> declared;
+  for (const ParamSpec& spec : scenario.params) declared.push_back(spec.name);
+  std::string message = "scenario \"" + scenario.name +
+                        "\" declares no param \"" + name + "\" (" + where +
+                        ")";
+  const std::string hint = util::nearestName(name, declared);
+  if (!hint.empty()) message += "; did you mean \"" + hint + "\"?";
+  throw std::invalid_argument(message);
+}
+
+/// Rejects any param name the campaign sets that `scenario` does not
+/// declare: an undeclared (typo'd) name would otherwise run the defaults
+/// silently and still land as a column in the emitted CSV.
+void requireDeclaredParams(const CampaignConfig& config,
+                           const ScenarioInfo& scenario) {
+  for (const auto& [name, value] : config.base.values()) {
+    if (!declares(scenario, name)) rejectUndeclared(scenario, name, "base");
+  }
+  for (const CampaignCase& campaignCase : config.cases) {
+    for (const auto& [name, value] : campaignCase.overrides.values()) {
+      if (!declares(scenario, name)) {
+        rejectUndeclared(scenario, name,
+                         "case \"" + campaignCase.name + "\"");
+      }
+    }
+  }
+  for (const SweepAxis& axis : config.grid.axes()) {
+    if (!declares(scenario, axis.name)) {
+      rejectUndeclared(scenario, axis.name, "grid axis");
+    }
+  }
+}
+
+}  // namespace
 
 JobSpec CampaignPlan::pointJob(std::size_t pointIndex,
                                int replication) const {
@@ -49,6 +96,7 @@ CampaignPlan buildPlan(const CampaignConfig& config) {
                                 "\" (registered: " + registeredScenarioList() +
                                 ")");
   }
+  requireDeclaredParams(config, *scenario);
   const bool adaptive = config.targetRelativeCi95 > 0.0;
   if (adaptive) {
     if (config.minReplications < 1 ||

@@ -58,7 +58,7 @@ struct CampaignConfig {
   /// Replications per grid point when running a fixed count
   /// (targetRelativeCi95 <= 0); ignored in adaptive mode.
   int replications = 1;
-  /// Adaptive replication (CLI: --target-ci): when > 0, every grid point
+  /// Adaptive replication (spec: `adaptive`): when > 0, every grid point
   /// runs replications in deterministic *waves* -- wave k covers the
   /// replication indices [0, minReplications * 2^k), capped at
   /// maxReplications -- and a point stops replicating once the 95 %
@@ -110,6 +110,8 @@ struct CampaignConfig {
   /// Stop after this many wave barriers (< 0: run to completion); the
   /// result comes back with halted = true and no points. Simulates a
   /// kill between waves for checkpoint tests and the CI resume smoke.
+  /// Needs `checkpointPath`, which keeps the fold state: runCampaign
+  /// throws std::invalid_argument before any job otherwise.
   int haltAfterWaves = -1;
 };
 

@@ -4,10 +4,9 @@
 /// Scenario registry of the campaign engine. An experiment family
 /// (urban loop, highway drive-thru, infostation file download, ...)
 /// registers itself under a name together with the parameters it
-/// understands; campaigns then refer to scenarios purely by name, and
-/// benches share one parameter vocabulary instead of hand-rolling flag
-/// parsing each (this subsumes the per-bench config code that used to
-/// live in bench/bench_common.h).
+/// understands; campaigns and specs then refer to scenarios purely by
+/// name and share one parameter vocabulary. buildPlan rejects any param
+/// name a scenario does not declare.
 
 #include <cstdint>
 #include <functional>
@@ -60,7 +59,7 @@ using ScenarioFn = std::function<JobResult(const JobContext&)>;
 
 /// Maps the shared "phy" parameter value (0=DSSS-1M 1=DSSS-2M 2=CCK-5.5M
 /// 3=CCK-11M) to its PhyMode. The one place that defines the index
-/// vocabulary — benches rendering mode names must use it too. Throws
+/// vocabulary — code rendering mode names must use it too. Throws
 /// std::invalid_argument when out of range.
 channel::PhyMode phyModeFromParam(int index);
 
@@ -119,7 +118,7 @@ std::string registeredScenarioList();
 /// Human rendering of every registered scenario: name, description,
 /// default target metric, default emit kinds, and each ParamSpec as
 ///   name = default  help
-/// -- what `vanet_campaign list` and `campaign_sweep --list` print.
+/// -- what `vanet_campaign list` prints.
 std::string renderScenarioList();
 
 /// Registers a scenario at static-initialisation time -- the plug-in

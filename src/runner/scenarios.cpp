@@ -1,9 +1,9 @@
 /// \file scenarios.cpp
 /// Built-in scenarios of the campaign engine, adapting the analysis-layer
 /// experiment drivers to the registry's (params, seed) -> JobResult shape.
-/// Parameter names are the one vocabulary every bench and sweep shares:
+/// Parameter names are the one vocabulary every spec shares:
 ///
-///   common    rounds, cars, speed_kmh, coop, nakagami
+///   common    rounds, cars, speed_kmh, coop
 ///   PHY/rate  phy (0=DSSS-1M 1=DSSS-2M 2=CCK-5.5M 3=CCK-11M), payload,
 ///             pkts_per_s, duty_frames (> 0 derives pkts_per_s from a
 ///             constant channel duty of that many 1 Mbps reference
@@ -14,6 +14,12 @@
 ///   urban     repeat, gap_seconds
 ///   highway   aps, spacing, first_ap_arc, road_length, gap_seconds
 ///   highway_file  file (packets per car; aps/spacing as above)
+///
+/// The adapters reject values the models cannot run -- a count below 1,
+/// a non-positive speed, rate or urban headway, APs that do not fit on
+/// the road -- with a std::invalid_argument naming the param and the value,
+/// before any model is built. The model asserts stay as internal
+/// invariants.
 
 #include <iterator>
 #include <stdexcept>
@@ -21,6 +27,7 @@
 #include "analysis/experiment.h"
 #include "mac/airtime.h"
 #include "runner/registry.h"
+#include "util/json.h"
 
 namespace vanet::runner {
 
@@ -38,6 +45,28 @@ channel::PhyMode phyModeFromParam(int index) {
 }
 
 namespace {
+
+[[noreturn]] void rejectParam(const std::string& name, const std::string& rule,
+                              double value) {
+  throw std::invalid_argument(name + " must be " + rule + ", got " +
+                              json::num(value));
+}
+
+/// A count param that must be at least 1 (cars, rounds, APs, ...).
+int countParam(const ParamSet& params, const std::string& name,
+               int fallback) {
+  const int value = params.getInt(name, fallback);
+  if (value < 1) rejectParam(name, ">= 1", value);
+  return value;
+}
+
+/// A param that must be > 0 (speeds, rates, headways, exponents).
+double positiveParam(const ParamSet& params, const std::string& name,
+                     double fallback) {
+  const double value = params.get(name, fallback);
+  if (!(value > 0.0)) rejectParam(name, "> 0", value);
+  return value;
+}
 
 /// The ParamSpecs shared by every scenario beyond rounds/cars/speed:
 /// PHY mode, packet rate, C2C channel quality and protocol policies.
@@ -83,7 +112,8 @@ void applyCommonParams(const JobContext& job, int carCount,
     config.payloadBytes = job.params.getInt("payload", 0);
   }
   if (job.params.has("pkts_per_s")) {
-    config.packetsPerSecondPerFlow = job.params.get("pkts_per_s", 0.0);
+    config.packetsPerSecondPerFlow =
+        positiveParam(job.params, "pkts_per_s", 0.0);
   }
   const double dutyFrames = job.params.get("duty_frames", 0.0);
   if (dutyFrames > 0.0) {
@@ -104,7 +134,8 @@ void applyCommonParams(const JobContext& job, int carCount,
     config.channel.c2cReferenceLossDb = job.params.get("c2c_ref_loss", 0.0);
   }
   if (job.params.has("c2c_exponent")) {
-    config.channel.c2cPathLossExponent = job.params.get("c2c_exponent", 0.0);
+    config.channel.c2cPathLossExponent =
+        positiveParam(job.params, "c2c_exponent", 0.0);
   }
   if (job.params.has("selection")) {
     switch (job.params.getInt("selection", 0)) {
@@ -130,7 +161,7 @@ void applyCommonParams(const JobContext& job, int carCount,
                                   : carq::RequestMode::kPerPacket;
   }
   if (job.params.has("batch")) {
-    config.carq.maxBatchSeqs = job.params.getInt("batch", 0);
+    config.carq.maxBatchSeqs = countParam(job.params, "batch", 0);
   }
   if (job.params.has("gossip")) {
     config.carq.gossipWindowExtension = job.params.getBool("gossip", false);
@@ -138,47 +169,51 @@ void applyCommonParams(const JobContext& job, int carCount,
   if (job.params.has("fc")) {
     config.carq.frameCombining = job.params.getBool("fc", false);
   }
-  if (job.params.has("nakagami")) {
-    config.channel.nakagamiM = job.params.get("nakagami", 0.0);
-  }
 }
 
 analysis::UrbanExperimentConfig urbanConfig(const JobContext& job) {
   analysis::UrbanExperimentConfig config;
-  config.rounds = job.params.getInt("rounds", 30);
+  config.rounds = countParam(job.params, "rounds", 30);
   config.seed = job.seed;
   config.roundThreads = job.roundThreads;
-  config.scenario.carCount = job.params.getInt("cars", 3);
-  config.scenario.baseSpeedMps = job.params.get("speed_kmh", 20.0) / 3.6;
+  config.scenario.carCount = countParam(job.params, "cars", 3);
+  config.scenario.baseSpeedMps =
+      positiveParam(job.params, "speed_kmh", 20.0) / 3.6;
   config.scenario.gapSeconds =
-      job.params.get("gap_seconds", config.scenario.gapSeconds);
-  config.repeatCount = job.params.getInt("repeat", 1);
+      positiveParam(job.params, "gap_seconds", config.scenario.gapSeconds);
+  config.repeatCount = countParam(job.params, "repeat", 1);
   applyCommonParams(job, config.scenario.carCount, config);
   return config;
 }
 
 analysis::HighwayExperimentConfig highwayConfig(const JobContext& job) {
   analysis::HighwayExperimentConfig config;
-  config.rounds = job.params.getInt("rounds", 15);
+  config.rounds = countParam(job.params, "rounds", 15);
   config.seed = job.seed;
   config.roundThreads = job.roundThreads;
-  config.scenario.carCount = job.params.getInt("cars", 3);
-  config.scenario.speedMps = job.params.get("speed_kmh", 80.0) / 3.6;
-  config.scenario.apCount = job.params.getInt("aps", 1);
+  config.scenario.carCount = countParam(job.params, "cars", 3);
+  config.scenario.speedMps = positiveParam(job.params, "speed_kmh", 80.0) / 3.6;
+  config.scenario.apCount = countParam(job.params, "aps", 1);
   config.scenario.apSpacing =
       job.params.get("spacing", config.scenario.apSpacing);
   config.scenario.firstApArc =
       job.params.get("first_ap_arc", config.scenario.firstApArc);
+  // The highway model clamps each car's headway, so any gap_seconds runs.
   config.scenario.gapSeconds =
       job.params.get("gap_seconds", config.scenario.gapSeconds);
   // road_length <= 0 auto-sizes the road to cover every AP plus run-out.
+  const double lastApArc =
+      config.scenario.firstApArc +
+      config.scenario.apSpacing * (config.scenario.apCount - 1);
   const double roadLength = job.params.get("road_length", 0.0);
+  if (roadLength > 0.0 && roadLength < lastApArc) {
+    rejectParam("road_length",
+                "<= 0 (auto-size) or reach the last AP at " +
+                    json::num(lastApArc),
+                roadLength);
+  }
   config.scenario.roadLengthMetres =
-      roadLength > 0.0
-          ? roadLength
-          : config.scenario.firstApArc +
-                config.scenario.apSpacing * (config.scenario.apCount - 1) +
-                500.0;
+      roadLength > 0.0 ? roadLength : lastApArc + 500.0;
   applyCommonParams(job, config.scenario.carCount, config);
   return config;
 }
@@ -255,7 +290,7 @@ JobResult runHighwayFile(const JobContext& job) {
   analysis::HighwayExperimentConfig config = highwayConfig(job);
   config.rounds = job.params.getInt("rounds", 10);
   config.carq.fileSizeSeqs =
-      static_cast<SeqNo>(job.params.getInt("file", 220));
+      static_cast<SeqNo>(countParam(job.params, "file", 220));
   analysis::HighwayExperiment experiment(config);
   const analysis::HighwayExperimentResult result = experiment.run();
   JobResult out;

@@ -124,8 +124,7 @@ CampaignConfig campaignConfigFromSpec(const CampaignSpec& spec);
 /// shard, progress, checkpoint/resume, halt-after-waves) onto
 /// `config` without touching the experiment definition. Seed and the
 /// adaptive policy are deliberately *not* applied — they belong to the
-/// spec (benches that keep flag overrides for them layer those on
-/// explicitly).
+/// spec.
 void applyEngineFlags(const CampaignRunFlags& run, CampaignConfig& config);
 
 /// The spec's emit list, or — when the spec declares none — the

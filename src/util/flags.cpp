@@ -145,10 +145,9 @@ void Flags::allowOnly(const std::vector<std::string>& known) const {
 }
 
 std::vector<std::string> campaignFlagNames() {
-  return {"seed",       "threads",  "round-threads", "shard",
-          "partial-out", "checkpoint", "resume",       "halt-after-waves",
-          "target-ci",  "min-reps", "max-reps",      "target-metric",
-          "progress",   "log-level"};
+  return {"seed",        "threads",    "round-threads", "shard",
+          "partial-out", "checkpoint", "resume",        "halt-after-waves",
+          "progress",    "log-level"};
 }
 
 bool Flags::getBool(const std::string& name, bool fallback) const {
@@ -176,10 +175,12 @@ CampaignRunFlags campaignRunFlags(const Flags& flags,
     std::exit(2);
   }
   run.haltAfterWaves = flags.getInt("halt-after-waves", -1);
-  run.targetCi = flags.getDouble("target-ci", 0.0);
-  run.minReps = flags.getInt("min-reps", 0);
-  run.maxReps = flags.getInt("max-reps", 0);
-  run.targetMetric = flags.getString("target-metric", "");
+  if (run.haltAfterWaves >= 0 && run.checkpoint.empty()) {
+    // A halted run emits nothing: without a checkpoint its waves are lost.
+    std::fprintf(stderr,
+                 "flag --halt-after-waves needs --checkpoint=<path>\n");
+    std::exit(2);
+  }
   run.progress = flags.getBool("progress", false);
   if (flags.has("log-level")) {
     const std::string level = flags.getString("log-level", "");

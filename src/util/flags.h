@@ -48,8 +48,8 @@ class Flags {
   const std::vector<std::string>& positional() const noexcept { return positional_; }
 
   /// Rejects (exit 2) any parsed flag whose name is not in `known`, with
-  /// a did-you-mean nearest-name hint -- a typo'd `--target-cl=0.05`
-  /// must not silently run a study with the default. Every binary calls
+  /// a did-you-mean nearest-name hint -- a typo'd `--thread=4` must
+  /// not silently run a study with the default. Every binary calls
   /// this once, right after parsing, with its full flag vocabulary
   /// (typically campaignFlagNames() plus its own additions).
   void allowOnly(const std::vector<std::string>& known) const;
@@ -64,7 +64,7 @@ class Flags {
 /// and pass the result to Flags::allowOnly().
 std::vector<std::string> campaignFlagNames();
 
-/// The campaign CLI vocabulary shared by every bench and example (one
+/// The campaign CLI vocabulary shared by every campaign binary (one
 /// parser instead of per-binary copies):
 ///   --seed=S           master seed
 ///   --threads=N        campaign job workers (0 = hardware concurrency)
@@ -80,21 +80,15 @@ std::vector<std::string> campaignFlagNames();
 ///                      continue at the first uncovered wave; the final
 ///                      artifacts are byte-identical to an uninterrupted
 ///                      run
-///   --halt-after-waves=K  stop after K wave barriers (kill simulation
-///                      for checkpoint tests; default: run to completion)
-///   --target-ci=X      adaptive replication: stop a grid point once the
-///                      95 % CI half-width of the target metric divided
-///                      by |mean| drops to X, which must be > 0 (omit
-///                      the flag to keep the fixed --repl count)
-///   --min-reps=N       adaptive wave-0 size / convergence floor
-///                      (defaults to the --repl count)
-///   --max-reps=N       adaptive replication cap (default 64)
-///   --target-metric=M  metric the stop rule watches (default: the
-///                      scenario's, e.g. "pdr")
+///   --halt-after-waves=K  stop after K wave barriers, leaving the fold
+///                      state in --checkpoint=F (kill simulation for
+///                      checkpoint tests; default: run to completion)
 ///   --progress         live progress lines on stderr (rate-limited,
 ///                      `progress: `-prefixed; results are unchanged)
 ///   --log-level=L      error|warn|info|debug|trace; overrides the
 ///                      VANET_LOG environment variable (default warn)
+/// The adaptive replication policy is not a flag: it is the spec's
+/// `adaptive` block (runner/spec.h).
 struct CampaignRunFlags {
   std::uint64_t seed = 2008;
   int threads = 0;
@@ -104,16 +98,14 @@ struct CampaignRunFlags {
   std::string checkpoint;     ///< per-wave checkpoint file; empty = off
   bool resume = false;        ///< restore from `checkpoint` first
   int haltAfterWaves = -1;    ///< stop after K barriers (< 0: run all)
-  double targetCi = 0.0;  ///< <= 0 keeps the fixed replication count
-  int minReps = 0;        ///< 0 = derive from the fixed count
-  int maxReps = 0;        ///< 0 = engine default
-  std::string targetMetric;
   bool progress = false;
 };
 
 /// Reads the shared campaign flags from `flags`. Also *applies* the
 /// logging flags as a side effect: `--log-level=L` (validated; abort on
 /// an unknown name) wins over the VANET_LOG environment default.
+/// `--resume` and `--halt-after-waves` without `--checkpoint` exit 2:
+/// neither has any state to read or keep without it.
 CampaignRunFlags campaignRunFlags(const Flags& flags,
                                   std::uint64_t defaultSeed = 2008);
 

@@ -205,18 +205,4 @@ std::vector<double> SeriesAccumulator::means() const {
   return out;
 }
 
-std::vector<double> SeriesAccumulator::smoothedMeans(std::size_t halfWindow) const {
-  const std::vector<double> raw = means();
-  if (halfWindow == 0 || raw.empty()) return raw;
-  std::vector<double> out(raw.size());
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    const std::size_t lo = i >= halfWindow ? i - halfWindow : 0;
-    const std::size_t hi = std::min(raw.size() - 1, i + halfWindow);
-    double sum = 0.0;
-    for (std::size_t j = lo; j <= hi; ++j) sum += raw[j];
-    out[i] = sum / static_cast<double>(hi - lo + 1);
-  }
-  return out;
-}
-
 }  // namespace vanet

@@ -115,10 +115,6 @@ class SeriesAccumulator {
   /// Mean per index; indexes never touched report 0 with count 0.
   std::vector<double> means() const;
 
-  /// Moving average of the mean series with the given half-window
-  /// (window = 2*halfWindow+1, truncated at the edges).
-  std::vector<double> smoothedMeans(std::size_t halfWindow) const;
-
   /// Serialization hooks: the raw cell vector out, and a bit-identical
   /// accumulator back from one.
   const std::vector<RunningStats>& cells() const noexcept { return cells_; }

@@ -3,10 +3,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "analysis/csv.h"
-#include "analysis/figures.h"
 #include "analysis/table1.h"
 
 namespace vanet::analysis {
@@ -32,22 +30,6 @@ trace::Table1Data sampleTable() {
   return data;
 }
 
-trace::FlowFigure sampleFigure() {
-  trace::FlowFigure figure;
-  figure.flow = 1;
-  for (std::size_t i = 0; i < 50; ++i) {
-    const double p = i < 25 ? 0.9 : 0.4;
-    for (const NodeId car : {1, 2, 3}) {
-      figure.rxByCar[car].add(i, p);
-    }
-    figure.afterCoop.add(i, 0.95);
-    figure.joint.add(i, 0.97);
-  }
-  figure.regionBoundary12.add(12.0);
-  figure.regionBoundary23.add(35.0);
-  return figure;
-}
-
 TEST(Table1RendererTest, ContainsAllRowsAndStats) {
   const std::string text = renderTable1(sampleTable());
   EXPECT_NE(text.find("Table 1"), std::string::npos);
@@ -66,91 +48,6 @@ TEST(Table1RendererTest, SummaryComputesReduction) {
   EXPECT_NE(text.find("55.1% reduction"), std::string::npos);
 }
 
-TEST(FigureRendererTest, ReceptionFigureStructure) {
-  const std::string text = renderReceptionFigure(sampleFigure());
-  EXPECT_NE(text.find("addressed to car 1"), std::string::npos);
-  EXPECT_NE(text.find("Region I/II boundary"), std::string::npos);
-  EXPECT_NE(text.find("Rx in car 1"), std::string::npos);
-  EXPECT_NE(text.find("Rx in car 3"), std::string::npos);
-  EXPECT_NE(text.find("packet number"), std::string::npos);
-}
-
-TEST(FigureRendererTest, CoopFigureReportsCoincidence) {
-  const std::string text = renderCoopFigure(sampleFigure());
-  EXPECT_NE(text.find("C-ARQ in car 1"), std::string::npos);
-  EXPECT_NE(text.find("after coop"), std::string::npos);
-  EXPECT_NE(text.find("Joint Rx"), std::string::npos);
-  EXPECT_NE(text.find("mean |after-coop - joint|"), std::string::npos);
-}
-
-TEST(FigureRendererTest, LeadingEmptyCellsAreTrimmedWithOffsetNote) {
-  trace::FlowFigure figure;
-  figure.flow = 2;
-  // Cells 0..9 never populated (window opened late); 10..29 active.
-  for (std::size_t i = 10; i < 30; ++i) {
-    for (const NodeId car : {1, 2, 3}) figure.rxByCar[car].add(i, 0.8);
-    figure.afterCoop.add(i, 0.9);
-    figure.joint.add(i, 0.95);
-  }
-  figure.regionBoundary12.add(15.0);
-  figure.regionBoundary23.add(25.0);
-  const std::string text = renderReceptionFigure(figure);
-  EXPECT_NE(text.find("absolute offset +10"), std::string::npos);
-  // Region boundaries are reported relative to the window start.
-  EXPECT_NE(text.find("Region I/II boundary ~ packet 5.0"), std::string::npos);
-}
-
-TEST(FigureRendererTest, SparseTailCellsAreDropped) {
-  trace::FlowFigure figure;
-  figure.flow = 1;
-  // 20 well-covered cells (10 samples each), then a one-sample straggler.
-  for (std::size_t i = 0; i < 20; ++i) {
-    for (int round = 0; round < 10; ++round) {
-      figure.joint.add(i, 1.0);
-      figure.afterCoop.add(i, 1.0);
-      figure.rxByCar[1].add(i, 1.0);
-    }
-  }
-  figure.joint.add(25, 1.0);  // lone tail cell: below the coverage cutoff
-  figure.afterCoop.add(25, 0.0);
-  figure.rxByCar[1].add(25, 0.0);
-  figure.regionBoundary12.add(5.0);
-  figure.regionBoundary23.add(15.0);
-  const std::string text = renderCoopFigure(figure);
-  // The straggler would have produced a max gap of 1.0; trimmed it is 0.
-  EXPECT_NE(text.find("max = 0.0000"), std::string::npos);
-}
-
-TEST(AsciiPlotTest, MarksSeriesAtCorrectHeights) {
-  const std::vector<double> high(20, 0.95);
-  const std::vector<double> low(20, 0.05);
-  const std::string text = asciiPlot({high, low}, {"high", "low"}, 20, 10);
-  std::istringstream lines(text);
-  std::string first;
-  std::getline(lines, first);
-  EXPECT_NE(first.find('*'), std::string::npos);  // high series on top row
-  EXPECT_NE(text.find("+ = low"), std::string::npos);
-}
-
-TEST(CsvTest, SeriesRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/series_test.csv";
-  ASSERT_TRUE(writeSeriesCsv(path, "packet", {"a", "b"},
-                             {{1.0, 2.0, 3.0}, {0.5, 0.25}}));
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string header;
-  std::getline(in, header);
-  EXPECT_EQ(header, "packet,a,b");
-  std::string row1;
-  std::getline(in, row1);
-  EXPECT_EQ(row1, "1,1,0.5");
-  std::string row3;
-  std::getline(in, row3);  // row 2
-  std::getline(in, row3);  // row 3: b column exhausted
-  EXPECT_EQ(row3, "3,3,");
-  std::remove(path.c_str());
-}
-
 TEST(CsvTest, Table1Export) {
   const std::string path = ::testing::TempDir() + "/table1_test.csv";
   ASSERT_TRUE(writeTable1Csv(path, sampleTable()));
@@ -166,7 +63,8 @@ TEST(CsvTest, Table1Export) {
 }
 
 TEST(CsvTest, UnwritablePathFails) {
-  EXPECT_FALSE(writeSeriesCsv("/nonexistent-dir/x.csv", "i", {"a"}, {{1.0}}));
+  EXPECT_FALSE(writeTable1Csv("/nonexistent-dir/x.csv", sampleTable()));
+  EXPECT_FALSE(writeRowsCsv("/nonexistent-dir/x.csv", {"a"}, {{"1"}}));
 }
 
 TEST(CsvTest, FullDiskFailsEveryWriter) {
@@ -177,7 +75,6 @@ TEST(CsvTest, FullDiskFailsEveryWriter) {
   const std::string link = ::testing::TempDir() + "/full_disk.csv";
   std::filesystem::remove(link);
   std::filesystem::create_symlink("/dev/full", link);
-  EXPECT_FALSE(writeSeriesCsv(link, "i", {"a"}, {{1.0}}));
   EXPECT_FALSE(writeTable1Csv(link, sampleTable()));
   EXPECT_FALSE(writeRowsCsv(link, {"a"}, {{"1"}}));
   std::filesystem::remove(link);

@@ -1,8 +1,9 @@
-// vanet_campaign fails fast on unusable output paths: the error names the
-// flag and the path, the exit status is nonzero, and no job runs (no
-// `--progress` line, which the first finished job always prints, and no
-// `--checkpoint` file, which every wave barrier writes). Artefact writes
-// that fail after the run fail the exit status too.
+// vanet_campaign fails fast on unusable output paths and spec params: the
+// error names the flag, path or param, the exit status is nonzero, and no
+// job runs (no `--progress` line, which the first finished job always
+// prints, and no `--checkpoint` file, which every wave barrier writes).
+// Artefact writes that fail after the run fail the exit status too. The
+// table1 spec prints the Table 1 block.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -35,15 +36,31 @@ class CampaignCliTest : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(dir_); }
 
-  /// Runs `vanet_campaign run <spec>.json <flags> --progress
+  /// The committed spec specs/<name>.json.
+  static std::string committed(const std::string& name) {
+    return std::string(VANET_SPEC_DIR) + "/" + name + ".json";
+  }
+
+  /// Writes a one-point urban spec with `base` (a JSON object) as its
+  /// base params and returns its path.
+  std::string writeSpec(const std::string& base) const {
+    const fs::path path = dir_ / "spec.json";
+    std::ofstream(path) << "{\"format\": \"vanet-campaign-spec\", "
+                           "\"version\": 1, \"name\": \"probe\", "
+                           "\"scenario\": \"urban\", \"base\": "
+                        << base << "}\n";
+    return path.string();
+  }
+
+  /// Runs `vanet_campaign run <specPath> <flags> --progress
   /// --checkpoint=<dir>/ck.bin`.
   CliRun run(const std::string& flags,
-             const std::string& spec = "ablation_speed") const {
+             const std::string& specPath = committed("ablation_speed")) const {
     const fs::path log = dir_ / "cli.log";
     const std::string command =
-        std::string(VANET_CAMPAIGN_BIN) + " run " + VANET_SPEC_DIR + "/" +
-        spec + ".json " + flags + " --progress --checkpoint=" +
-        checkpoint().string() + " > " + log.string() + " 2>&1";
+        std::string(VANET_CAMPAIGN_BIN) + " run " + specPath + " " + flags +
+        " --progress --checkpoint=" + checkpoint().string() + " > " +
+        log.string() + " 2>&1";
     CliRun result;
     result.status = std::system(command.c_str());
     std::ifstream in(log);
@@ -99,7 +116,7 @@ TEST_F(CampaignCliTest, ArtefactOnAFullDiskFailsTheRun) {
   // when the file is closed, and must still fail the exit status.
   if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
   fs::create_symlink("/dev/full", dir_ / "table1.csv");
-  const CliRun result = run("--csv=" + dir_.string(), "table1");
+  const CliRun result = run("--csv=" + dir_.string(), committed("table1"));
   ASSERT_TRUE(WIFEXITED(result.status)) << result.output;
   EXPECT_EQ(WEXITSTATUS(result.status), 1) << result.output;
   EXPECT_EQ(result.output.find("wrote " + (dir_ / "table1.csv").string()),
@@ -115,6 +132,45 @@ TEST_F(CampaignCliTest, UsableOutputPathsRunTheCampaign) {
   EXPECT_EQ(result.status, 0) << result.output;
   EXPECT_TRUE(anyJobRan(result)) << result.output;
   EXPECT_TRUE(fs::exists(dir_ / "partial.bin"));
+  // No table1_csv emit, so no Table 1 block.
+  EXPECT_EQ(result.output.find("Table 1."), std::string::npos)
+      << result.output;
+}
+
+TEST_F(CampaignCliTest, Table1SpecPrintsTheTable1Block) {
+  const CliRun result = run("", committed("table1"));
+  EXPECT_EQ(result.status, 0) << result.output;
+  EXPECT_NE(result.output.find("Table 1. Average values on the number of "
+                               "packets received and lost (over 30 rounds)"),
+            std::string::npos)
+      << result.output;
+  for (const char* car : {"car 1: losses ", "car 2: losses ",
+                          "car 3: losses "}) {
+    EXPECT_NE(result.output.find(car), std::string::npos) << result.output;
+  }
+}
+
+TEST_F(CampaignCliTest, BadParamValueFailsNamingTheParam) {
+  // A named error and exit 1, not a model assert (exit 134).
+  const CliRun result = run("", writeSpec(R"({"cars": 0, "rounds": 1})"));
+  ASSERT_TRUE(WIFEXITED(result.status)) << result.output;
+  EXPECT_EQ(WEXITSTATUS(result.status), 1) << result.output;
+  EXPECT_NE(result.output.find("cars must be >= 1, got 0"), std::string::npos)
+      << result.output;
+}
+
+TEST_F(CampaignCliTest, UndeclaredParamFailsBeforeAnyJob) {
+  // Not the default 30 rounds run silently under a `roundz` column.
+  const CliRun result =
+      run("--csv=" + dir_.string(), writeSpec(R"({"cars": 3, "roundz": 2})"));
+  ASSERT_TRUE(WIFEXITED(result.status)) << result.output;
+  EXPECT_EQ(WEXITSTATUS(result.status), 1) << result.output;
+  EXPECT_NE(result.output.find("declares no param \"roundz\" (base); did "
+                               "you mean \"rounds\"?"),
+            std::string::npos)
+      << result.output;
+  EXPECT_FALSE(anyJobRan(result)) << result.output;
+  EXPECT_FALSE(fs::exists(dir_ / "probe_campaign.csv"));
 }
 
 }  // namespace

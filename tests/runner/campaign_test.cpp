@@ -11,6 +11,7 @@
 
 #include "obs/manifest.h"
 #include "runner/emit.h"
+#include "util/json.h"
 #include "util/rng.h"
 
 namespace vanet::runner {
@@ -192,6 +193,50 @@ TEST(CampaignTest, WorkerExceptionPropagates) {
     EXPECT_NE(what.find("grid point 0"), std::string::npos) << what;
     EXPECT_NE(what.find("replication 0"), std::string::npos) << what;
     EXPECT_NE(what.find("job failed"), std::string::npos) << what;
+  }
+}
+
+TEST(CampaignTest, BadParamValuesFailNamingTheParam) {
+  // Values the models cannot run -- a negative or huge round count hangs
+  // the round loop, others trip internal asserts, 2.5 cars would run as
+  // 2 -- must fail their job with an error naming the param and the
+  // value, before any model is built.
+  struct BadValue {
+    const char* scenario;
+    const char* param;
+    double value;
+  };
+  const BadValue cases[] = {
+      {"urban", "rounds", -5},        {"urban", "rounds", 1e10},
+      {"urban", "cars", 0},           {"urban", "cars", 2.5},
+      {"urban", "speed_kmh", 0},      {"urban", "speed_kmh", -3},
+      {"urban", "pkts_per_s", 0},     {"urban", "gap_seconds", -4},
+      {"urban", "gap_seconds", 0},    {"urban", "repeat", 0},
+      {"urban", "batch", 0},          {"urban", "c2c_exponent", 0},
+      {"urban", "selection", 1.5},    {"highway", "aps", 0},
+      {"highway", "cars", 0},         {"highway", "speed_kmh", 0},
+      {"highway", "road_length", 10}, {"highway_file", "aps", 0},
+      {"highway_file", "file", 0},
+  };
+  for (const BadValue& bad : cases) {
+    CampaignConfig config;
+    config.scenario = bad.scenario;
+    config.threads = 1;
+    config.base.set("rounds", 1);
+    config.base.set(bad.param, bad.value);
+    const std::string label = std::string(bad.scenario) + " " + bad.param +
+                              "=" + json::num(bad.value);
+    try {
+      runCampaign(config);
+      ADD_FAILURE() << label << " ran";
+    } catch (const std::exception& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find(std::string(bad.param) + " must be"),
+                std::string::npos)
+          << label << ": " << what;
+      EXPECT_NE(what.find("got " + json::num(bad.value)), std::string::npos)
+          << label << ": " << what;
+    }
   }
 }
 

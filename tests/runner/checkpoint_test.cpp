@@ -37,7 +37,8 @@ const std::string& noiseScenario() {
     ScenarioRegistry::global().add(ScenarioInfo{
         "checkpoint-test-noise",
         "constant or seed-noisy metric, no simulation",
-        {{"noise", 0.0, "0 = constant metric, else noise amplitude"}},
+        {{"noise", 0.0, "0 = constant metric, else noise amplitude"},
+         {"extra", 0.0, "unused; a second axis for sharding"}},
         [](const JobContext& context) {
           gNoiseJobs.fetch_add(1, std::memory_order_relaxed);
           JobResult result;
@@ -101,6 +102,22 @@ TEST(CheckpointTest, HaltAfterWaveWritesResumableCheckpoint) {
   EXPECT_EQ(campaignCsv(resumed), campaignCsv(reference));
   // The final barrier rewrote the checkpoint as complete.
   EXPECT_TRUE(readCampaignPartial(config.checkpointPath).checkpointComplete);
+}
+
+TEST(CheckpointTest, HaltWithoutACheckpointFailsBeforeAnyJob) {
+  // A halted run returns no points, so without a checkpoint its waves
+  // would be simulated and thrown away.
+  CampaignConfig config = mixedAdaptive();
+  config.haltAfterWaves = 1;
+  gNoiseJobs = 0;
+  try {
+    runCampaign(config);
+    FAIL() << "expected a throw";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("checkpoint"), std::string::npos)
+        << error.what();
+  }
+  EXPECT_EQ(gNoiseJobs.load(), 0);
 }
 
 TEST(CheckpointTest, EveryInterruptionPointResumesByteIdentical) {

@@ -4,6 +4,7 @@
 
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "util/rng.h"
 
@@ -118,6 +119,57 @@ TEST(PlanTest, ValidatesInputs) {
   EXPECT_THROW(buildPlan(config), std::invalid_argument);
   config.shard = Shard{-1, 2};
   EXPECT_THROW(buildPlan(config), std::invalid_argument);
+}
+
+/// buildPlan's message for `config`, or "" when it plans.
+std::string planError(const CampaignConfig& config) {
+  try {
+    buildPlan(config);
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(PlanTest, UndeclaredParamNamesAreRejectedWithAHint) {
+  // A typo'd name would otherwise run the default silently and add a
+  // column to the campaign CSV: base, case override and axis alike.
+  CampaignConfig config = gridCampaign();
+  config.base.set("roundz", 2);
+  std::string error = planError(config);
+  EXPECT_NE(error.find("scenario \"urban\" declares no param \"roundz\" "
+                       "(base); did you mean \"rounds\"?"),
+            std::string::npos)
+      << error;
+
+  config = gridCampaign();
+  config.cases = {{"plain", {{"coop", 0.0}}}, {"fast", {{"sped_kmh", 60.0}}}};
+  error = planError(config);
+  EXPECT_NE(error.find("\"sped_kmh\" (case \"fast\"); did you mean "
+                       "\"speed_kmh\"?"),
+            std::string::npos)
+      << error;
+
+  config = gridCampaign();
+  config.grid.add("gosip", {0.0, 1.0});
+  error = planError(config);
+  EXPECT_NE(error.find("\"gosip\" (grid axis); did you mean \"gossip\"?"),
+            std::string::npos)
+      << error;
+
+  // Nothing close: the bare rejection, no misleading hint.
+  config = gridCampaign();
+  config.base.set("doppler_hz", 2.0);
+  error = planError(config);
+  EXPECT_NE(error.find("declares no param \"doppler_hz\" (base)"),
+            std::string::npos)
+      << error;
+  EXPECT_EQ(error.find("did you mean"), std::string::npos) << error;
+
+  // Declared names of another scenario are undeclared here.
+  config = gridCampaign();
+  config.base.set("aps", 2);
+  EXPECT_NE(planError(config).find("\"aps\""), std::string::npos);
 }
 
 }  // namespace

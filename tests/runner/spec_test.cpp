@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "runner/campaign.h"
+#include "runner/emit.h"
 #include "runner/plan.h"
 #include "runner/registry.h"
 
@@ -320,7 +322,7 @@ TEST(CampaignSpecTest, CommittedSpecsAreFixedPointsOfTheNormalizedForm) {
 }
 
 TEST(CampaignSpecTest, SpecConfigPlansLikeAHandAssembledConfig) {
-  // bench_table1's historical flag-assembled campaign, rebuilt by hand.
+  // The table1 campaign, assembled by hand.
   CampaignConfig byHand;
   byHand.scenario = "urban";
   byHand.masterSeed = 2008;
@@ -343,6 +345,48 @@ TEST(CampaignSpecTest, SpecConfigPlansLikeAHandAssembledConfig) {
   }
   for (std::size_t i = 0; i < planA.shardJobCount(); ++i) {
     EXPECT_EQ(planA.shardJob(i).seed, planB.shardJob(i).seed) << i;
+  }
+}
+
+TEST(CampaignSpecTest, GossipPointZeroIsTheTable1Campaign) {
+  // Figures 3-8 are the figure CSVs of grid point 0 of the gossip
+  // ablation: that point is the table1 campaign -- same scenario, seed,
+  // replications and base, gossip at its default 0, job indices 0..2 --
+  // so its per-flow series equal the table1 run's bit for bit.
+  CampaignSpec table1 =
+      loadCampaignSpec(std::string(VANET_SPEC_DIR "/table1.json"));
+  CampaignSpec gossip = loadCampaignSpec(
+      std::string(VANET_SPEC_DIR "/ablation_window_gossip.json"));
+  EXPECT_EQ(gossip.scenario, table1.scenario);
+  EXPECT_EQ(gossip.seed, table1.seed);
+  EXPECT_EQ(gossip.replications, table1.replications);
+  EXPECT_EQ(gossip.base.values(), table1.base.values());
+  EXPECT_TRUE(table1.cases.empty());
+  EXPECT_TRUE(gossip.cases.empty());
+  EXPECT_EQ(table1.grid.axisCount(), 0u);
+  ASSERT_EQ(gossip.grid.axisCount(), 1u);
+  EXPECT_EQ(gossip.grid.axes()[0].name, "gossip");
+  ASSERT_FALSE(gossip.grid.axes()[0].values.empty());
+  EXPECT_EQ(gossip.grid.axes()[0].values[0], 0.0);
+
+  // Both at 2 rounds per replication to keep the test fast.
+  table1.base.set("rounds", 2);
+  gossip.base.set("rounds", 2);
+  const CampaignResult table1Result =
+      runCampaign(campaignConfigFromSpec(table1));
+  const CampaignResult gossipResult =
+      runCampaign(campaignConfigFromSpec(gossip));
+  ASSERT_EQ(table1Result.points.size(), 1u);
+  ASSERT_GE(gossipResult.points.size(), 1u);
+  const GridPointSummary& expected = table1Result.points[0];
+  const GridPointSummary& point0 = gossipResult.points[0];
+  ASSERT_EQ(expected.figures.size(), 3u);
+  ASSERT_EQ(point0.figures.size(), expected.figures.size());
+  for (const auto& [flow, figure] : expected.figures) {
+    ASSERT_EQ(point0.figures.count(flow), 1u) << "flow " << flow;
+    EXPECT_EQ(figureSeriesCsv(point0.figures.at(flow)),
+              figureSeriesCsv(figure))
+        << "flow " << flow;
   }
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+#include <string>
+
 namespace vanet::runner {
 namespace {
 
@@ -76,7 +80,9 @@ TEST(ParamSetTest, GettersAndOverrides) {
   EXPECT_FALSE(params.has("c"));
   EXPECT_DOUBLE_EQ(params.get("a", 0), 1.5);
   EXPECT_DOUBLE_EQ(params.get("c", 9), 9);
-  EXPECT_EQ(params.getInt("a", 0), 1);
+  // A fractional value is not truncated into an int: it fails by name.
+  EXPECT_THROW(params.getInt("a", 0), std::invalid_argument);
+  EXPECT_EQ(params.getInt("b", 5), 0);
   EXPECT_FALSE(params.getBool("b", true));
   EXPECT_TRUE(params.getBool("c", true));
   ParamSet overrides{{"b", 2.0}, {"c", 3.0}};
@@ -84,6 +90,23 @@ TEST(ParamSetTest, GettersAndOverrides) {
   EXPECT_DOUBLE_EQ(params.get("b", 0), 2.0);
   EXPECT_DOUBLE_EQ(params.get("c", 0), 3.0);
   EXPECT_DOUBLE_EQ(params.get("a", 0), 1.5);
+}
+
+TEST(ParamSetTest, GetIntRejectsValuesOutsideInt) {
+  const ParamSet params{{"max", 2147483647.0},    {"min", -2147483648.0},
+                        {"over", 2147483648.0},   {"under", -2147483649.0},
+                        {"huge", 1e10},           {"nan", std::nan("")},
+                        {"half", -0.5}};
+  EXPECT_EQ(params.getInt("max", 0), 2147483647);
+  EXPECT_EQ(params.getInt("min", 0), -2147483647 - 1);
+  for (const char* name : {"over", "under", "huge", "nan", "half"}) {
+    try {
+      params.getInt(name, 0);
+      ADD_FAILURE() << name << " converted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_EQ(std::string(error.what()).rfind(name, 0), 0u) << error.what();
+    }
+  }
 }
 
 }  // namespace

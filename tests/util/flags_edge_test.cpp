@@ -1,10 +1,11 @@
 /// \file flags_edge_test.cpp
 /// Edge cases of the flag parser that the happy-path suite in
 /// flags_test.cpp does not cover: explicitly empty values (`--seed=`),
-/// flags whose space-syntax value is a negative number, and malformed
-/// `--shard` specs. Every typed parser rejects a bad value by printing a
-/// diagnostic and exiting with status 2 (badValue), which death tests
-/// observe from the parent process.
+/// flags whose space-syntax value is a negative number, malformed
+/// `--shard` specs, and run-state flags given without a checkpoint.
+/// Every typed parser rejects a bad value by printing a diagnostic and
+/// exiting with status 2 (badValue), which death tests observe from the
+/// parent process.
 
 #include "util/flags.h"
 
@@ -85,20 +86,19 @@ TEST(FlagsEdgeDeathTest, TrailingGarbageRejectedByNumericParsers) {
               ::testing::ExitedWithCode(2), "as unsigned");
 }
 
-TEST(FlagsTest, CampaignRunFlagsReadAdaptiveVocabulary) {
-  const Flags f = parse({"--target-ci=0.05", "--min-reps=4", "--max-reps=64",
-                         "--target-metric=pdr"});
-  const CampaignRunFlags run = campaignRunFlags(f);
-  EXPECT_DOUBLE_EQ(run.targetCi, 0.05);
-  EXPECT_EQ(run.minReps, 4);
-  EXPECT_EQ(run.maxReps, 64);
-  EXPECT_EQ(run.targetMetric, "pdr");
-  // Absent adaptive flags keep the fixed-count defaults.
-  const CampaignRunFlags fixed = campaignRunFlags(parse({}));
-  EXPECT_DOUBLE_EQ(fixed.targetCi, 0.0);
-  EXPECT_EQ(fixed.minReps, 0);
-  EXPECT_EQ(fixed.maxReps, 0);
-  EXPECT_TRUE(fixed.targetMetric.empty());
+TEST(FlagsEdgeDeathTest, RunStateFlagsNeedACheckpoint) {
+  // --resume has nothing to read and --halt-after-waves nothing to keep
+  // without a checkpoint file: both exit 2 before any job runs.
+  EXPECT_EXIT(campaignRunFlags(parse({"--resume"})),
+              ::testing::ExitedWithCode(2),
+              "flag --resume needs --checkpoint=<path>");
+  EXPECT_EXIT(campaignRunFlags(parse({"--halt-after-waves=1"})),
+              ::testing::ExitedWithCode(2),
+              "flag --halt-after-waves needs --checkpoint=<path>");
+  const CampaignRunFlags run = campaignRunFlags(
+      parse({"--halt-after-waves=1", "--checkpoint=ck.bin"}));
+  EXPECT_EQ(run.haltAfterWaves, 1);
+  EXPECT_EQ(run.checkpoint, "ck.bin");
 }
 
 TEST(FlagsEdgeDeathTest, AllowOnlyRejectsUnknownFlagsWithDidYouMean) {
@@ -115,9 +115,11 @@ TEST(FlagsTest, AllowOnlyAcceptsTheFullVocabulary) {
   // Every name in the shared campaign vocabulary passes its own check,
   // and positional arguments are never flagged.
   const Flags flags = parse({"--seed=1", "--threads=2", "--progress",
-                             "--target-ci=0.1", "pos0", "pos1"});
+                             "--checkpoint=ck.bin", "pos0", "pos1"});
   flags.allowOnly(campaignFlagNames());
   EXPECT_EQ(flags.positional().size(), 2u);
+  // The engine vocabulary only: the adaptive policy is the spec's.
+  EXPECT_EQ(campaignFlagNames().size(), 10u);
 }
 
 }  // namespace

@@ -317,19 +317,6 @@ TEST(SeriesAccumulatorTest, MeansPerIndex) {
   EXPECT_DOUBLE_EQ(means[1], 1.0);
 }
 
-TEST(SeriesAccumulatorTest, SmoothingAveragesNeighbours) {
-  SeriesAccumulator acc;
-  for (std::size_t i = 0; i < 5; ++i) {
-    acc.add(i, i == 2 ? 1.0 : 0.0);  // impulse at index 2
-  }
-  const auto smooth = acc.smoothedMeans(1);
-  ASSERT_EQ(smooth.size(), 5u);
-  EXPECT_DOUBLE_EQ(smooth[1], 1.0 / 3.0);
-  EXPECT_DOUBLE_EQ(smooth[2], 1.0 / 3.0);
-  EXPECT_DOUBLE_EQ(smooth[3], 1.0 / 3.0);
-  EXPECT_DOUBLE_EQ(smooth[0], 0.0);
-}
-
 TEST(SeriesAccumulatorTest, CellsRoundTripPreservesMergeBehaviour) {
   SeriesAccumulator acc;
   acc.add(0, 1.0);
@@ -341,13 +328,6 @@ TEST(SeriesAccumulatorTest, CellsRoundTripPreservesMergeBehaviour) {
     EXPECT_EQ(back.at(i).count(), acc.at(i).count());
     EXPECT_DOUBLE_EQ(back.at(i).mean(), acc.at(i).mean());
   }
-}
-
-TEST(SeriesAccumulatorTest, ZeroSmoothingIsIdentity) {
-  SeriesAccumulator acc;
-  acc.add(0, 0.25);
-  acc.add(1, 0.75);
-  EXPECT_EQ(acc.smoothedMeans(0), acc.means());
 }
 
 }  // namespace
