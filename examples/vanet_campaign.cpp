@@ -86,10 +86,8 @@ int main(int argc, char** argv) {
   if (verb != "run") return usage();
   // Engine knobs only: the experiment definition is the spec's. No
   // --seed / --rounds here by design -- edit the spec.
-  std::vector<std::string> known = {
-      "threads",    "round-threads", "shard",     "partial-out",
-      "checkpoint", "resume",        "halt-after-waves",
-      "progress",   "log-level",     "csv"};
+  std::vector<std::string> known = campaignFlagNames();
+  known.push_back("csv");
   flags.allowOnly(known);
 
   runner::CampaignSpec spec;
@@ -101,7 +99,7 @@ int main(int argc, char** argv) {
   }
   obs::setRunSpec(specPath, runner::campaignSpecDigest(spec));
 
-  const CampaignRunFlags run = campaignRunFlags(flags, spec.seed);
+  const CampaignRunFlags run = campaignRunFlags(flags);
   runner::CampaignConfig config = runner::campaignConfigFromSpec(spec);
   runner::applyEngineFlags(run, config);
 

@@ -156,9 +156,9 @@ UrbanRoundOutcome UrbanRoundWorld::takeOutcome() {
 UrbanRoundOutcome runUrbanRound(const UrbanExperimentConfig& config,
                                 const mobility::UrbanLoopScenario& scenario,
                                 int roundIndex) {
-  // World build vs round kernel split out so the perf trajectory can
-  // tell setup cost from simulation cost (the worlds are non-movable,
-  // hence the optional).
+  // World build vs round kernel split out so the obs timers can tell
+  // setup cost from simulation cost (the worlds are non-movable, hence
+  // the optional).
   std::optional<UrbanRoundWorld> world;
   {
     OBS_SCOPED_TIMER("round.build");

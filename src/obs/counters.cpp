@@ -9,7 +9,6 @@
 #include <mutex>
 
 #include "util/assert.h"
-#include "util/json.h"
 
 namespace vanet::obs {
 namespace {
@@ -241,26 +240,5 @@ TimerValue Snapshot::timer(const std::string& name) const noexcept {
 Snapshot takeSnapshot() { return Registry::instance().snapshot(); }
 
 void resetAll() noexcept { Registry::instance().reset(); }
-
-std::string snapshotJson(const Snapshot& snapshot) {
-  std::string out = "{\"counters\":{";
-  bool first = true;
-  for (const CounterValue& value : snapshot.counters) {
-    if (!first) out += ",";
-    first = false;
-    out += json::quote(value.name) + ":" + std::to_string(value.value);
-  }
-  out += "},\"timers\":{";
-  first = true;
-  for (const TimerValue& value : snapshot.timers) {
-    if (!first) out += ",";
-    first = false;
-    out += json::quote(value.name) + ":{\"count\":" +
-           std::to_string(value.count) +
-           ",\"total_ns\":" + std::to_string(value.totalNanos) + "}";
-  }
-  out += "}}";
-  return out;
-}
 
 }  // namespace vanet::obs

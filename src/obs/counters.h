@@ -184,16 +184,10 @@ struct Snapshot {
 /// on one side of the snapshot or the other.
 Snapshot takeSnapshot();
 
-/// Zeroes every counter and timer cell, live and retired. Meant for
-/// benches and tests that want per-section readings; do not call while
+/// Zeroes every counter and timer cell, live and retired. Meant for the
+/// benchmark and tests that want per-section readings; do not call while
 /// worker threads are counting.
 void resetAll() noexcept;
-
-/// Deterministic JSON rendering of a snapshot: two objects keyed by the
-/// sorted names, `{"counters":{...},"timers":{"name":{"count":..,
-/// "total_ns":..}}}`. Zero-count entries are kept so schema consumers
-/// see the full vocabulary that was interned.
-std::string snapshotJson(const Snapshot& snapshot);
 
 }  // namespace vanet::obs
 

@@ -8,8 +8,7 @@
 /// campaignPointsJson(), campaignCsv() and figureSeriesCsv() render only
 /// deterministic fields with full-precision (%.17g) numbers: two
 /// campaigns whose merged results are bit-identical render byte-identical
-/// text, which is exactly what the determinism tests and
-/// bench_runner_scaling compare.
+/// text, which is exactly what the determinism tests compare.
 
 #include <string>
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <stdexcept>
 
 #include "analysis/csv.h"
@@ -99,6 +100,18 @@ std::uint64_t uintField(const json::Value& value, const std::string& key) {
   }
 }
 
+/// A replication count: an integer in [1, INT_MAX], range-checked before
+/// the narrowing to int so that 4294967297 cannot run as 1.
+int replicationsField(const json::Value& value, const std::string& key) {
+  const std::int64_t count = intField(value, key);
+  if (count < 1 || count > std::numeric_limits<int>::max()) {
+    specError("key \"" + key + "\": expected an integer in [1, " +
+              std::to_string(std::numeric_limits<int>::max()) + "], got " +
+              std::to_string(count));
+  }
+  return static_cast<int>(count);
+}
+
 /// `{param: number, ...}` with duplicate names rejected.
 ParamSet paramsField(const json::Value& value, const std::string& key) {
   if (value.type() != json::Value::Type::Object) {
@@ -165,14 +178,13 @@ void parseAdaptive(const json::Value& value, CampaignSpec& spec) {
   }
   if (const json::Value* minReps = memberOrNull(members, "min_replications")) {
     spec.minReplications =
-        static_cast<int>(intField(*minReps, "adaptive.min_replications"));
+        replicationsField(*minReps, "adaptive.min_replications");
   }
   if (const json::Value* maxReps = memberOrNull(members, "max_replications")) {
     spec.maxReplications =
-        static_cast<int>(intField(*maxReps, "adaptive.max_replications"));
+        replicationsField(*maxReps, "adaptive.max_replications");
   }
-  if (spec.minReplications < 1 ||
-      spec.maxReplications < spec.minReplications) {
+  if (spec.maxReplications < spec.minReplications) {
     specError(
         "key \"adaptive\": need 1 <= min_replications <= max_replications, "
         "got " +
@@ -369,12 +381,7 @@ CampaignSpec parseCampaignSpec(const std::string& text) {
     spec.seed = uintField(*seed, "seed");
   }
   if (const json::Value* replications = memberOrNull(members, "replications")) {
-    const std::int64_t count = intField(*replications, "replications");
-    if (count < 1) {
-      specError("key \"replications\": expected an integer >= 1, got " +
-                std::to_string(count));
-    }
-    spec.replications = static_cast<int>(count);
+    spec.replications = replicationsField(*replications, "replications");
   }
   if (const json::Value* base = memberOrNull(members, "base")) {
     spec.base = paramsField(*base, "base");

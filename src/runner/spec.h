@@ -28,9 +28,9 @@
 ///                 registry is consulted at plan time, not parse time,
 ///                 so specs for plug-in scenarios parse everywhere)
 ///   seed          master seed, unsigned 64-bit (optional, default 2008)
-///   replications  fixed replications per grid point (optional, >= 1,
-///                 default 1; the adaptive floor/cap win when `adaptive`
-///                 is set)
+///   replications  fixed replications per grid point (optional, in
+///                 [1, 2147483647], default 1; the adaptive floor/cap
+///                 win when `adaptive` is set)
 ///   base          {param: number, ...} applied over scenario defaults
 ///   cases         [{"name": ..., "overrides": {param: number}}, ...]
 ///   grid          [{"axis": ..., "values": [numbers]}, ...] cartesian
@@ -122,9 +122,8 @@ CampaignConfig campaignConfigFromSpec(const CampaignSpec& spec);
 
 /// The engine half: copies the shared run flags (threads, round workers,
 /// shard, progress, checkpoint/resume, halt-after-waves) onto
-/// `config` without touching the experiment definition. Seed and the
-/// adaptive policy are deliberately *not* applied — they belong to the
-/// spec.
+/// `config` without touching the experiment definition. The flags carry
+/// neither the seed nor the adaptive policy — both belong to the spec.
 void applyEngineFlags(const CampaignRunFlags& run, CampaignConfig& config);
 
 /// The spec's emit list, or — when the spec declares none — the

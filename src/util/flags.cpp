@@ -19,10 +19,8 @@ namespace {
 }
 
 /// `--flag=` (an explicitly empty value) is rejected by every typed
-/// parser up front: the std::sto* family throws on it anyway, but
-/// string inspection such as value.front() must never run on an empty
-/// value, and "absent" (fallback) is the wrong reading of an empty
-/// token the user typed.
+/// parser up front: "absent" (fallback) is the wrong reading of an
+/// empty token the user typed.
 void rejectEmpty(const std::string& name, const std::string& value,
                  const char* expected) {
   if (value.empty()) badValue(name, value, expected);
@@ -82,33 +80,11 @@ double Flags::getDouble(const std::string& name, double fallback) const {
   }
 }
 
-std::uint64_t Flags::getUInt64(const std::string& name,
-                               std::uint64_t fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  // The front() sign check below needs a non-empty token; reject
-  // `--seed=` before any inspection.
-  rejectEmpty(name, it->second, "unsigned integer");
-  try {
-    std::size_t pos = 0;
-    const std::uint64_t v = std::stoull(it->second, &pos);
-    if (pos != it->second.size() || it->second.front() == '-') {
-      badValue(name, it->second, "unsigned integer");
-    }
-    return v;
-  } catch (const std::exception&) {
-    badValue(name, it->second, "unsigned integer");
-  }
-}
-
 ShardSpec Flags::getShard(const std::string& name, ShardSpec fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   const std::string& v = it->second;
   rejectEmpty(name, v, "shard spec i/N");
-  // A bare `--shard` parses as "true": leave it to getBool() callers that
-  // use the same name as a mode switch.
-  if (v == "true") return fallback;
   const auto slash = v.find('/');
   if (slash == std::string::npos) badValue(name, v, "shard spec i/N");
   try {
@@ -145,9 +121,9 @@ void Flags::allowOnly(const std::vector<std::string>& known) const {
 }
 
 std::vector<std::string> campaignFlagNames() {
-  return {"seed",        "threads",    "round-threads", "shard",
-          "partial-out", "checkpoint", "resume",        "halt-after-waves",
-          "progress",    "log-level"};
+  return {"threads",          "round-threads", "shard",
+          "partial-out",      "checkpoint",    "resume",
+          "halt-after-waves", "progress",      "log-level"};
 }
 
 bool Flags::getBool(const std::string& name, bool fallback) const {
@@ -160,10 +136,8 @@ bool Flags::getBool(const std::string& name, bool fallback) const {
   badValue(name, v, "bool");
 }
 
-CampaignRunFlags campaignRunFlags(const Flags& flags,
-                                  std::uint64_t defaultSeed) {
+CampaignRunFlags campaignRunFlags(const Flags& flags) {
   CampaignRunFlags run;
-  run.seed = flags.getUInt64("seed", defaultSeed);
   run.threads = flags.getInt("threads", 0);
   run.roundThreads = flags.getInt("round-threads", 1);
   run.shard = flags.getShard("shard");

@@ -1,11 +1,10 @@
 #pragma once
 
 /// \file flags.h
-/// Tiny command-line flag parser for the examples and bench harnesses.
+/// Tiny command-line flag parser for the example binaries.
 /// Accepts `--name=value`, `--name value` and bare boolean `--name`.
 /// Unknown positional arguments are collected in positional().
 
-#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -32,17 +31,14 @@ class Flags {
   /// Typed getters return `fallback` when the flag is absent; they abort
   /// with a clear message when the value does not parse.
   int getInt(const std::string& name, int fallback) const;
-  std::uint64_t getUInt64(const std::string& name,
-                          std::uint64_t fallback) const;
   double getDouble(const std::string& name, double fallback) const;
   std::string getString(const std::string& name, std::string fallback) const;
 
   /// A bare `--name` or `--name=true|1|yes` is true; `=false|0|no` is false.
   bool getBool(const std::string& name, bool fallback) const;
 
-  /// Parses `--name=i/N` with 0 <= i < N; `fallback` when absent or when
-  /// the flag was given bare (so a bool `--shard` mode flag can coexist),
-  /// abort on a malformed spec.
+  /// Parses `--name=i/N` with 0 <= i < N; `fallback` when absent, abort
+  /// on a malformed spec (a bare `--name` included).
   ShardSpec getShard(const std::string& name, ShardSpec fallback = {}) const;
 
   const std::vector<std::string>& positional() const noexcept { return positional_; }
@@ -59,14 +55,12 @@ class Flags {
   std::vector<std::string> positional_;
 };
 
-/// The names campaignRunFlags() reads -- the shared engine vocabulary
-/// every campaign binary accepts. Append binary-specific names to a copy
-/// and pass the result to Flags::allowOnly().
+/// The names campaignRunFlags() reads -- the engine vocabulary of
+/// `vanet_campaign run`. Append binary-specific names to a copy and pass
+/// the result to Flags::allowOnly().
 std::vector<std::string> campaignFlagNames();
 
-/// The campaign CLI vocabulary shared by every campaign binary (one
-/// parser instead of per-binary copies):
-///   --seed=S           master seed
+/// The campaign engine flags (one parser instead of per-binary copies):
 ///   --threads=N        campaign job workers (0 = hardware concurrency)
 ///   --round-threads=N  round workers inside each job's experiment
 ///                      (1 = serial rounds, 0 = whatever the shared
@@ -87,10 +81,9 @@ std::vector<std::string> campaignFlagNames();
 ///                      `progress: `-prefixed; results are unchanged)
 ///   --log-level=L      error|warn|info|debug|trace; overrides the
 ///                      VANET_LOG environment variable (default warn)
-/// The adaptive replication policy is not a flag: it is the spec's
-/// `adaptive` block (runner/spec.h).
+/// The master seed and the adaptive replication policy are not flags:
+/// they are the spec's `seed` and `adaptive` keys (runner/spec.h).
 struct CampaignRunFlags {
-  std::uint64_t seed = 2008;
   int threads = 0;
   int roundThreads = 1;
   ShardSpec shard{};
@@ -106,7 +99,6 @@ struct CampaignRunFlags {
 /// an unknown name) wins over the VANET_LOG environment default.
 /// `--resume` and `--halt-after-waves` without `--checkpoint` exit 2:
 /// neither has any state to read or keep without it.
-CampaignRunFlags campaignRunFlags(const Flags& flags,
-                                  std::uint64_t defaultSeed = 2008);
+CampaignRunFlags campaignRunFlags(const Flags& flags);
 
 }  // namespace vanet

@@ -107,17 +107,21 @@ TEST(RoundOrderTest, UrbanRunIsBitIdenticalAcrossRoundWorkerCounts) {
   UrbanExperimentConfig config = tinyUrbanConfig();
   config.roundThreads = 1;
   const UrbanExperimentResult serial = UrbanExperiment(config).run();
-  config.roundThreads = 4;
-  const UrbanExperimentResult parallel = UrbanExperiment(config).run();
-  util::ThreadBudget::global().setLimit(0);
-
   EXPECT_EQ(serial.roundWorkers, 1);
-  EXPECT_EQ(parallel.roundWorkers, 4);
-  EXPECT_EQ(trace::table1ToJson(serial.table1),
-            trace::table1ToJson(parallel.table1));
-  EXPECT_EQ(figuresJson(serial.figures), figuresJson(parallel.figures));
-  EXPECT_EQ(protocolTotalsToJson(serial.totals),
-            protocolTotalsToJson(parallel.totals));
+  for (const int workers : {2, 4}) {
+    config.roundThreads = workers;
+    const UrbanExperimentResult parallel = UrbanExperiment(config).run();
+    EXPECT_EQ(parallel.roundWorkers, workers);
+    EXPECT_EQ(trace::table1ToJson(serial.table1),
+              trace::table1ToJson(parallel.table1))
+        << workers;
+    EXPECT_EQ(figuresJson(serial.figures), figuresJson(parallel.figures))
+        << workers;
+    EXPECT_EQ(protocolTotalsToJson(serial.totals),
+              protocolTotalsToJson(parallel.totals))
+        << workers;
+  }
+  util::ThreadBudget::global().setLimit(0);
 }
 
 TEST(RoundOrderTest, HighwayRunIsBitIdenticalAcrossRoundWorkerCounts) {

@@ -90,18 +90,5 @@ TEST(ObsCountersTest, ResetZeroesRetiredSlabsToo) {
   EXPECT_EQ(takeSnapshot().counter("test.counters.reset"), 0u);
 }
 
-TEST(ObsCountersTest, SnapshotJsonRendersBothSections) {
-  Counter::get("test.counters.json").add(0);
-  Timer::get("test.timers.json").record(0);
-  resetAll();
-  Counter::get("test.counters.json").add(3);
-  const std::string json = snapshotJson(takeSnapshot());
-  EXPECT_EQ(json.rfind("{\"counters\":{", 0), 0u);
-  EXPECT_NE(json.find("\"test.counters.json\":3"), std::string::npos);
-  EXPECT_NE(json.find("\"timers\":{"), std::string::npos);
-  EXPECT_NE(json.find("\"test.timers.json\":{\"count\":0,\"total_ns\":0}"),
-            std::string::npos);
-}
-
 }  // namespace
 }  // namespace vanet::obs

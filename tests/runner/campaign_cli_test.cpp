@@ -1,7 +1,8 @@
-// vanet_campaign fails fast on unusable output paths and spec params: the
-// error names the flag, path or param, the exit status is nonzero, and no
-// job runs (no `--progress` line, which the first finished job always
-// prints, and no `--checkpoint` file, which every wave barrier writes).
+// vanet_campaign fails fast on unusable output paths, spec params and keys,
+// and flags outside the engine vocabulary: the error names the flag, path,
+// param or key, the exit status is nonzero, and no job runs (no
+// `--progress` line, which the first finished job always prints, and no
+// `--checkpoint` file, which every wave barrier writes).
 // Artefact writes that fail after the run fail the exit status too. The
 // table1 spec prints the Table 1 block.
 
@@ -42,13 +43,15 @@ class CampaignCliTest : public ::testing::Test {
   }
 
   /// Writes a one-point urban spec with `base` (a JSON object) as its
-  /// base params and returns its path.
-  std::string writeSpec(const std::string& base) const {
+  /// base params, plus the `extra` members (", \"key\": value" text), and
+  /// returns its path.
+  std::string writeSpec(const std::string& base,
+                        const std::string& extra = "") const {
     const fs::path path = dir_ / "spec.json";
     std::ofstream(path) << "{\"format\": \"vanet-campaign-spec\", "
                            "\"version\": 1, \"name\": \"probe\", "
                            "\"scenario\": \"urban\", \"base\": "
-                        << base << "}\n";
+                        << base << extra << "}\n";
     return path.string();
   }
 
@@ -171,6 +174,30 @@ TEST_F(CampaignCliTest, UndeclaredParamFailsBeforeAnyJob) {
       << result.output;
   EXPECT_FALSE(anyJobRan(result)) << result.output;
   EXPECT_FALSE(fs::exists(dir_ / "probe_campaign.csv"));
+}
+
+TEST_F(CampaignCliTest, ReplicationsPastIntMaxFailNamingTheKey) {
+  // Not narrowed to int: 2^32 + 1 used to run as one replication, exit 0.
+  const CliRun result = run("--csv=" + dir_.string(),
+                            writeSpec(R"({"rounds": 1})",
+                                      R"(, "replications": 4294967297)"));
+  ASSERT_TRUE(WIFEXITED(result.status)) << result.output;
+  EXPECT_EQ(WEXITSTATUS(result.status), 1) << result.output;
+  EXPECT_NE(result.output.find("key \"replications\": expected an integer "
+                               "in [1, 2147483647], got 4294967297"),
+            std::string::npos)
+      << result.output;
+  EXPECT_FALSE(anyJobRan(result)) << result.output;
+  EXPECT_FALSE(fs::exists(dir_ / "probe_campaign.csv"));
+}
+
+TEST_F(CampaignCliTest, SeedFlagIsRejectedBecauseTheSeedIsTheSpecs) {
+  const CliRun result = run("--seed=1");
+  ASSERT_TRUE(WIFEXITED(result.status)) << result.output;
+  EXPECT_EQ(WEXITSTATUS(result.status), 2) << result.output;
+  EXPECT_NE(result.output.find("unknown flag --seed"), std::string::npos)
+      << result.output;
+  EXPECT_FALSE(anyJobRan(result)) << result.output;
 }
 
 }  // namespace

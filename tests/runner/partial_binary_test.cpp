@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <iterator>
@@ -162,21 +163,26 @@ TEST(PartialBinaryTest, ShardFilesMergeByteIdentical) {
   config.threads = 1;
   const CampaignResult reference = runCampaign(config);
 
-  const std::string path0 = ::testing::TempDir() + "/merge0.bin";
-  const std::string path1 = ::testing::TempDir() + "/merge1.bin";
+  // 2 shards split the 4 points evenly; 3 shards give shard 0 two points
+  // and the others one.
   config.threads = 2;
-  config.shard = Shard{0, 2};
-  ASSERT_TRUE(
-      writeCampaignPartial(path0, campaignPartial(runCampaign(config))));
-  config.shard = Shard{1, 2};
-  ASSERT_TRUE(
-      writeCampaignPartial(path1, campaignPartial(runCampaign(config))));
-
-  // Shard files given in reverse order: the streamed merge must still be
-  // byte-identical to the single-process artefacts.
-  const CampaignResult merged = resultFromPartialFiles({path1, path0});
-  EXPECT_EQ(campaignPointsJson(merged), campaignPointsJson(reference));
-  EXPECT_EQ(campaignCsv(merged), campaignCsv(reference));
+  for (const int count : {2, 3}) {
+    std::vector<std::string> paths;
+    for (int shard = 0; shard < count; ++shard) {
+      paths.push_back(::testing::TempDir() + "/merge" +
+                      std::to_string(shard) + ".bin");
+      config.shard = Shard{shard, count};
+      ASSERT_TRUE(writeCampaignPartial(paths.back(),
+                                       campaignPartial(runCampaign(config))));
+    }
+    // Shard files given in reverse order: the streamed merge must still
+    // be byte-identical to the single-process artefacts.
+    std::reverse(paths.begin(), paths.end());
+    const CampaignResult merged = resultFromPartialFiles(paths);
+    EXPECT_EQ(campaignPointsJson(merged), campaignPointsJson(reference))
+        << count;
+    EXPECT_EQ(campaignCsv(merged), campaignCsv(reference)) << count;
+  }
 }
 
 TEST(PartialBinaryTest, RejectsBadMagicAndVersion) {

@@ -193,9 +193,18 @@ TEST(CampaignSpecTest, SeedAndReplicationsAreValidated) {
   expectParseError(minimalSpec(",\n  \"seed\": -1"),
                    {"key \"seed\"", "unsigned integer"});
   expectParseError(minimalSpec(",\n  \"replications\": 0"),
-                   {"key \"replications\"", ">= 1"});
+                   {"key \"replications\"", "in [1, 2147483647]", "got 0"});
   expectParseError(minimalSpec(",\n  \"replications\": 2.5"),
                    {"key \"replications\"", "an integer"});
+  // Counts past INT_MAX are rejected by name, not narrowed: 2^32 + 1
+  // would run as 1 replication and 2^31 as a negative count.
+  expectParseError(minimalSpec(",\n  \"replications\": 4294967297"),
+                   {"key \"replications\": expected an integer in "
+                    "[1, 2147483647], got 4294967297"});
+  expectParseError(minimalSpec(",\n  \"replications\": 2147483648"),
+                   {"key \"replications\"", "got 2147483648"});
+  expectParseError(minimalSpec(",\n  \"replications\": -4294967295"),
+                   {"key \"replications\"", "got -4294967295"});
 }
 
 TEST(CampaignSpecTest, BaseParamsAreValidated) {
@@ -250,7 +259,20 @@ TEST(CampaignSpecTest, AdaptiveIsValidated) {
   expectParseError(
       minimalSpec(",\n  \"adaptive\": {\"target_ci\": 0.1,"
                   " \"min_replications\": 0}"),
-      {"key \"adaptive\"", "1 <= min_replications <= max_replications"});
+      {"key \"adaptive.min_replications\"", "in [1, 2147483647]",
+       "got 0"});
+  // Not narrowed to 2..3 replications.
+  expectParseError(
+      minimalSpec(",\n  \"adaptive\": {\"target_ci\": 0.5,"
+                  " \"min_replications\": 4294967298,"
+                  " \"max_replications\": 4294967299}"),
+      {"key \"adaptive.min_replications\"", "in [1, 2147483647]",
+       "got 4294967298"});
+  expectParseError(
+      minimalSpec(",\n  \"adaptive\": {\"target_ci\": 0.5,"
+                  " \"max_replications\": 2147483648}"),
+      {"key \"adaptive.max_replications\"", "in [1, 2147483647]",
+       "got 2147483648"});
   expectParseError(
       minimalSpec(",\n  \"adaptive\": {\"target_ci\": 0.1,"
                   " \"min_replications\": 8, \"max_replications\": 4}"),
@@ -400,7 +422,6 @@ TEST(CampaignSpecTest, ApplyEngineFlagsLeavesTheExperimentAlone) {
   run.checkpoint = "ck.bin";
   run.resume = true;
   run.haltAfterWaves = 5;
-  run.seed = 999;  // deliberately ignored: the seed belongs to the spec
 
   CampaignConfig config = campaignConfigFromSpec(richSpec());
   applyEngineFlags(run, config);

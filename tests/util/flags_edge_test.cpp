@@ -1,6 +1,6 @@
 /// \file flags_edge_test.cpp
 /// Edge cases of the flag parser that the happy-path suite in
-/// flags_test.cpp does not cover: explicitly empty values (`--seed=`),
+/// flags_test.cpp does not cover: explicitly empty values (`--rounds=`),
 /// flags whose space-syntax value is a negative number, malformed
 /// `--shard` specs, and run-state flags given without a checkpoint.
 /// Every typed parser rejects a bad value by printing a diagnostic and
@@ -27,10 +27,7 @@ using FlagsEdgeDeathTest = ::testing::Test;
 
 TEST(FlagsEdgeDeathTest, EmptyValuesAreRejectedByEveryTypedParser) {
   // `--flag=` stores an empty string; each typed getter must take the
-  // badValue exit path instead of reading value.front() (previously
-  // undefined behaviour in getUInt64) or silently falling back.
-  EXPECT_EXIT(parse({"--seed="}).getUInt64("seed", 1),
-              ::testing::ExitedWithCode(2), "cannot parse '' as unsigned");
+  // badValue exit path instead of silently falling back.
   EXPECT_EXIT(parse({"--rounds="}).getInt("rounds", 1),
               ::testing::ExitedWithCode(2), "cannot parse '' as int");
   EXPECT_EXIT(parse({"--speed="}).getDouble("speed", 1.0),
@@ -59,16 +56,11 @@ TEST(FlagsTest, SpaceSyntaxConsumesNegativeNumbers) {
   EXPECT_DOUBLE_EQ(f.getDouble("power", 0.0), -12.5);
 }
 
-TEST(FlagsEdgeDeathTest, NegativeValuesRejectedWhereUnsigned) {
-  EXPECT_EXIT(parse({"--seed", "-5"}).getUInt64("seed", 1),
-              ::testing::ExitedWithCode(2), "cannot parse '-5' as unsigned");
-  EXPECT_EXIT(parse({"--seed=-1"}).getUInt64("seed", 1),
-              ::testing::ExitedWithCode(2), "cannot parse '-1' as unsigned");
-}
-
 TEST(FlagsEdgeDeathTest, MalformedShardSpecsAreRejected) {
+  // A bare `--shard` parses as "true": not a shard spec, so it must not
+  // run the whole campaign as if no shard had been asked for.
   for (const char* spec :
-       {"--shard=1", "--shard=1/", "--shard=/2", "--shard=a/2",
+       {"--shard", "--shard=1", "--shard=1/", "--shard=/2", "--shard=a/2",
         "--shard=1/b", "--shard=1/2x", "--shard=2/2", "--shard=-1/3",
         "--shard=0/0", "--shard=1 / 2"}) {
     EXPECT_EXIT(parse({spec}).getShard("shard"),
@@ -82,8 +74,6 @@ TEST(FlagsEdgeDeathTest, TrailingGarbageRejectedByNumericParsers) {
               ::testing::ExitedWithCode(2), "cannot parse '3x' as int");
   EXPECT_EXIT(parse({"--speed=1.5mps"}).getDouble("speed", 0.0),
               ::testing::ExitedWithCode(2), "as double");
-  EXPECT_EXIT(parse({"--seed=12 34"}).getUInt64("seed", 0),
-              ::testing::ExitedWithCode(2), "as unsigned");
 }
 
 TEST(FlagsEdgeDeathTest, RunStateFlagsNeedACheckpoint) {
@@ -114,12 +104,13 @@ TEST(FlagsEdgeDeathTest, AllowOnlyRejectsUnknownFlagsWithDidYouMean) {
 TEST(FlagsTest, AllowOnlyAcceptsTheFullVocabulary) {
   // Every name in the shared campaign vocabulary passes its own check,
   // and positional arguments are never flagged.
-  const Flags flags = parse({"--seed=1", "--threads=2", "--progress",
+  const Flags flags = parse({"--threads=2", "--progress",
                              "--checkpoint=ck.bin", "pos0", "pos1"});
   flags.allowOnly(campaignFlagNames());
   EXPECT_EQ(flags.positional().size(), 2u);
-  // The engine vocabulary only: the adaptive policy is the spec's.
-  EXPECT_EQ(campaignFlagNames().size(), 10u);
+  // The engine vocabulary only: the seed and the adaptive policy are the
+  // spec's.
+  EXPECT_EQ(campaignFlagNames().size(), 9u);
 }
 
 }  // namespace
