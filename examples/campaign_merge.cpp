@@ -8,8 +8,9 @@
 ///   $ ./example_campaign_merge shard_0.vpart shard_1.vpart
 ///       [--csv=FILE] [--json=FILE] [--figures-dir=DIR --figures-base=B]
 ///
-/// Shard files are binary v3 partials; each streams point-by-point
-/// through a bounded record buffer.
+/// Shard files are binary v3 partials; each is read whole and parsed,
+/// and the set is folded by the same merge the in-memory API uses. Any
+/// unreadable or damaged file fails by name.
 ///
 /// With no output flags the tool just validates and prints the merged
 /// point count (useful as a shard-set integrity check).

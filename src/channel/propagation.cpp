@@ -1,8 +1,6 @@
 #include "channel/propagation.h"
 
 #include <algorithm>
-#include <cmath>
-#include <numbers>
 
 #include "util/assert.h"
 #include "util/vmath.h"
@@ -10,21 +8,9 @@
 namespace vanet::channel {
 namespace {
 
-constexpr double kSpeedOfLight = 2.99792458e8;  // m/s
-constexpr double kMinDistance = 1.0;            // metres
+constexpr double kMinDistance = 1.0;  // metres
 
 }  // namespace
-
-FreeSpacePathLoss::FreeSpacePathLoss(double frequencyHz) {
-  VANET_ASSERT(frequencyHz > 0.0, "carrier frequency must be positive");
-  fixedTermDb_ =
-      20.0 * std::log10(4.0 * std::numbers::pi * frequencyHz / kSpeedOfLight);
-}
-
-double FreeSpacePathLoss::lossDb(double distanceMetres) const {
-  const double d = std::max(distanceMetres, kMinDistance);
-  return fixedTermDb_ + 20.0 * vmath::vlog10(d);
-}
 
 LogDistancePathLoss::LogDistancePathLoss(double exponent, double referenceLossDb,
                                          double referenceDistance)
@@ -39,41 +25,9 @@ double LogDistancePathLoss::lossDb(double distanceMetres) const {
   return referenceLossDb_ + slopeDb_ * vmath::vlog10(d / referenceDistance_);
 }
 
-TwoRayGroundPathLoss::TwoRayGroundPathLoss(double txHeightMetres,
-                                           double rxHeightMetres,
-                                           double frequencyHz)
-    : txHeight_(txHeightMetres), rxHeight_(rxHeightMetres),
-      freeSpace_(frequencyHz) {
-  VANET_ASSERT(txHeight_ > 0.0 && rxHeight_ > 0.0,
-               "antenna heights must be positive");
-  const double wavelength = kSpeedOfLight / frequencyHz;
-  crossover_ = 4.0 * std::numbers::pi * txHeight_ * rxHeight_ / wavelength;
-  heightTermDb_ = 20.0 * std::log10(txHeight_ * rxHeight_);
-}
-
-double TwoRayGroundPathLoss::lossDb(double distanceMetres) const {
-  const double d = std::max(distanceMetres, kMinDistance);
-  if (d < crossover_) {
-    return freeSpace_.lossDb(d);
-  }
-  // Beyond the crossover the two-ray model: PL = 40 log10(d) - 20 log10(ht hr).
-  return 40.0 * vmath::vlog10(d) - heightTermDb_;
-}
-
-// Batched variants: one clamp pass, one batched vlog10, one elementwise
+// Batched variant: one clamp pass, one batched vlog10, one elementwise
 // finish -- the same per-element op sequence as the scalar lossDb (which
 // runs the identical vmath kernel), so outputs match bit for bit.
-
-void FreeSpacePathLoss::lossDbBatch(const double* distanceMetres, double* out,
-                                    std::size_t n) const {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = std::max(distanceMetres[i], kMinDistance);
-  }
-  vmath::vlog10(out, out, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = fixedTermDb_ + 20.0 * out[i];
-  }
-}
 
 void LogDistancePathLoss::lossDbBatch(const double* distanceMetres, double* out,
                                       std::size_t n) const {
@@ -83,20 +37,6 @@ void LogDistancePathLoss::lossDbBatch(const double* distanceMetres, double* out,
   vmath::vlog10(out, out, n);
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = referenceLossDb_ + slopeDb_ * out[i];
-  }
-}
-
-void TwoRayGroundPathLoss::lossDbBatch(const double* distanceMetres,
-                                       double* out, std::size_t n) const {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = std::max(distanceMetres[i], kMinDistance);
-  }
-  vmath::vlog10(out, out, n);
-  const double fsFixed = freeSpace_.fixedTermDb();
-  for (std::size_t i = 0; i < n; ++i) {
-    const double d = std::max(distanceMetres[i], kMinDistance);
-    out[i] = d < crossover_ ? fsFixed + 20.0 * out[i]
-                            : 40.0 * out[i] - heightTermDb_;
   }
 }
 

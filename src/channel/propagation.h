@@ -6,7 +6,6 @@
 /// fading) are layered on top by the composite link model.
 
 #include <cstddef>
-#include <memory>
 
 namespace vanet::channel {
 
@@ -29,23 +28,9 @@ class PathLossModel {
   }
 };
 
-/// Free-space (Friis) propagation at a given carrier frequency.
-class FreeSpacePathLoss final : public PathLossModel {
- public:
-  explicit FreeSpacePathLoss(double frequencyHz = 2.4e9);
-  double lossDb(double distanceMetres) const override;
-  void lossDbBatch(const double* distanceMetres, double* out,
-                   std::size_t n) const override;
-
-  double fixedTermDb() const noexcept { return fixedTermDb_; }
-
- private:
-  double fixedTermDb_;  // 20 log10(4 pi f / c)
-};
-
 /// Log-distance model: loss(d) = refLoss(d0) + 10 n log10(d / d0).
-/// The workhorse for the urban scenario (exponent ~3 captures the
-/// window-mounted AP of the testbed).
+/// Every scenario builds its AP and car-to-car links from it (exponent
+/// ~3 captures the window-mounted AP of the testbed).
 class LogDistancePathLoss final : public PathLossModel {
  public:
   /// `referenceLossDb` is the loss at `referenceDistance` metres.
@@ -62,26 +47,6 @@ class LogDistancePathLoss final : public PathLossModel {
   double slopeDb_;  // 10 * exponent, the log10 multiplier
   double referenceLossDb_;
   double referenceDistance_;
-};
-
-/// Two-ray ground-reflection model with free-space behaviour below the
-/// crossover distance; suits flat highway stretches.
-class TwoRayGroundPathLoss final : public PathLossModel {
- public:
-  TwoRayGroundPathLoss(double txHeightMetres, double rxHeightMetres,
-                       double frequencyHz = 2.4e9);
-  double lossDb(double distanceMetres) const override;
-  void lossDbBatch(const double* distanceMetres, double* out,
-                   std::size_t n) const override;
-
-  double crossoverDistance() const noexcept { return crossover_; }
-
- private:
-  double txHeight_;
-  double rxHeight_;
-  FreeSpacePathLoss freeSpace_;
-  double crossover_;
-  double heightTermDb_;  // 20 log10(ht hr)
 };
 
 }  // namespace vanet::channel

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -65,10 +64,6 @@ void CampaignAccumulator::fold(std::size_t shardSlot, int replication,
         it != point.metrics.end() ? it->second.confidence95() : 0.0;
   }
   ++folded_;
-}
-
-int CampaignAccumulator::pointReplications(std::size_t shardSlot) const {
-  return points_.at(shardSlot).replications;
 }
 
 bool CampaignAccumulator::converged(const GridPointSummary& point) const {
@@ -159,13 +154,32 @@ bool writeCampaignPartial(const std::string& path,
 }
 
 CampaignPartial readCampaignPartial(const std::string& path) {
-  PartialBinaryFileReader reader(path);
-  CampaignPartial partial = reader.header();
-  GridPointSummary point;
-  while (reader.nextPoint(point)) {
-    partial.points.push_back(std::move(point));
+  const std::string bytes = util::readFile(path);  // names the path itself
+  try {
+    CampaignPartial partial = parseCampaignPartialBinary(bytes);
+    partial.sourcePath = path;
+    return partial;
+  } catch (const std::runtime_error& error) {
+    throw std::runtime_error(path + ": " + error.what());
   }
-  return partial;
+}
+
+const char* campaignMismatch(const CampaignPartial& a,
+                             const CampaignPartial& b) {
+  if (a.scenario != b.scenario) return "scenario";
+  if (a.masterSeed != b.masterSeed) return "master seed";
+  if (a.shard.count != b.shard.count) return "shard count";
+  if (a.replications != b.replications) return "replication cap";
+  if (a.targetRelativeCi95 != b.targetRelativeCi95 ||
+      a.minReplications != b.minReplications ||
+      a.maxReplications != b.maxReplications ||
+      a.targetMetric != b.targetMetric) {
+    return "adaptive stop rule";
+  }
+  if (a.totalPoints != b.totalPoints || a.totalJobs != b.totalJobs) {
+    return "grid totals";
+  }
+  return nullptr;
 }
 
 namespace {
@@ -181,113 +195,6 @@ std::string describePartial(const CampaignPartial& partial) {
   return text;
 }
 
-/// The campaign-identity fields of a partial, points left behind (so a
-/// merger can keep them without copying point payloads).
-CampaignPartial identityOf(const CampaignPartial& partial) {
-  CampaignPartial header;
-  header.scenario = partial.scenario;
-  header.masterSeed = partial.masterSeed;
-  header.shard = partial.shard;
-  header.replications = partial.replications;
-  header.targetRelativeCi95 = partial.targetRelativeCi95;
-  header.minReplications = partial.minReplications;
-  header.maxReplications = partial.maxReplications;
-  header.targetMetric = partial.targetMetric;
-  header.totalPoints = partial.totalPoints;
-  header.totalJobs = partial.totalJobs;
-  header.hasCheckpoint = partial.hasCheckpoint;
-  header.checkpointCoveredReps = partial.checkpointCoveredReps;
-  header.checkpointComplete = partial.checkpointComplete;
-  header.sourcePath = partial.sourcePath;
-  return header;
-}
-
-/// Incremental shard merge shared by the in-memory and streaming entry
-/// points: shards announce themselves in ascending index order via
-/// beginShard(), then feed points one at a time -- so a binary shard file
-/// never needs to materialize its whole point set.
-class PartialMerger {
- public:
-  explicit PartialMerger(std::size_t partialCount) : total_(partialCount) {}
-
-  void beginShard(const CampaignPartial& header) {
-    // A checkpoint mid-campaign is resume state, not a shard result:
-    // folding it in would silently drop every replication past its wave.
-    if (header.hasCheckpoint && !header.checkpointComplete) {
-      throw std::runtime_error(describePartial(header) +
-                               " is an unfinished wave checkpoint (resume "
-                               "state), not a finished shard partial");
-    }
-    if (begun_ == 0) {
-      first_ = identityOf(header);
-      if (total_ != static_cast<std::size_t>(first_.shard.count)) {
-        throw std::runtime_error(
-            "expected " + std::to_string(first_.shard.count) +
-            " shard partials, got " + std::to_string(total_) +
-            " (first: " + describePartial(first_) + ")");
-      }
-      merged_.resize(first_.totalPoints);
-      filled_.assign(first_.totalPoints, false);
-    } else if (header.scenario != first_.scenario ||
-               header.masterSeed != first_.masterSeed ||
-               header.replications != first_.replications ||
-               header.targetRelativeCi95 != first_.targetRelativeCi95 ||
-               header.minReplications != first_.minReplications ||
-               header.maxReplications != first_.maxReplications ||
-               header.targetMetric != first_.targetMetric ||
-               header.totalPoints != first_.totalPoints ||
-               header.totalJobs != first_.totalJobs ||
-               header.shard.count != first_.shard.count) {
-      throw std::runtime_error("shard partials describe different campaigns (" +
-                               describePartial(header) + " disagrees)");
-    }
-    if (header.shard.index != static_cast<int>(begun_)) {
-      throw std::runtime_error(
-          "missing or duplicate shard " + std::to_string(begun_) +
-          " in partial set (got " + describePartial(header) + ")");
-    }
-    current_ = identityOf(header);
-    ++begun_;
-  }
-
-  void addPoint(GridPointSummary point) {
-    if (point.gridIndex >= merged_.size()) {
-      throw std::runtime_error(
-          "partial grid index " + std::to_string(point.gridIndex) +
-          " out of range (" + describePartial(current_) + ")");
-    }
-    if (filled_[point.gridIndex]) {
-      throw std::runtime_error(
-          "grid point " + std::to_string(point.gridIndex) +
-          " appears in more than one shard (" + describePartial(current_) +
-          ")");
-    }
-    filled_[point.gridIndex] = true;
-    merged_[point.gridIndex] = std::move(point);
-  }
-
-  std::vector<GridPointSummary> finish() {
-    for (std::size_t p = 0; p < filled_.size(); ++p) {
-      if (!filled_[p]) {
-        throw std::runtime_error("grid point " + std::to_string(p) +
-                                 " is missing from every shard");
-      }
-    }
-    return std::move(merged_);
-  }
-
-  /// Identity of the merged set (the first shard's header, points empty).
-  const CampaignPartial& first() const noexcept { return first_; }
-
- private:
-  std::size_t total_;
-  std::size_t begun_ = 0;
-  CampaignPartial first_;
-  CampaignPartial current_;
-  std::vector<GridPointSummary> merged_;
-  std::vector<bool> filled_;
-};
-
 }  // namespace
 
 std::vector<GridPointSummary> mergeCampaignPartials(
@@ -299,45 +206,65 @@ std::vector<GridPointSummary> mergeCampaignPartials(
             [](const CampaignPartial& a, const CampaignPartial& b) {
               return a.shard.index < b.shard.index;
             });
-  PartialMerger merger(partials.size());
-  for (CampaignPartial& partial : partials) {
-    merger.beginShard(partial);
+  const CampaignPartial& first = partials.front();
+  if (partials.size() != static_cast<std::size_t>(first.shard.count)) {
+    throw std::runtime_error(
+        "expected " + std::to_string(first.shard.count) +
+        " shard partials, got " + std::to_string(partials.size()) +
+        " (first: " + describePartial(first) + ")");
+  }
+  // Every grid point must come from some shard, so a grid larger than
+  // the points held is incomplete -- and must not size the allocation
+  // below from an unchecked header field. With this check, the loop's
+  // range and overlap checks also prove that every point is covered.
+  std::size_t held = 0;
+  for (const CampaignPartial& partial : partials) {
+    held += partial.points.size();
+  }
+  if (first.totalPoints > held) {
+    throw std::runtime_error(
+        "the shard partials hold " + std::to_string(held) + " of " +
+        std::to_string(first.totalPoints) +
+        " grid points: the rest are missing from every shard");
+  }
+  std::vector<GridPointSummary> merged(first.totalPoints);
+  std::vector<bool> filled(first.totalPoints, false);
+  for (std::size_t s = 0; s < partials.size(); ++s) {
+    CampaignPartial& partial = partials[s];
+    // A checkpoint mid-campaign is resume state, not a shard result:
+    // folding it in would silently drop every replication past its wave.
+    if (partial.hasCheckpoint && !partial.checkpointComplete) {
+      throw std::runtime_error(describePartial(partial) +
+                               " is an unfinished wave checkpoint (resume "
+                               "state), not a finished shard partial");
+    }
+    if (const char* field = campaignMismatch(partial, first)) {
+      throw std::runtime_error("shard partials describe different campaigns (" +
+                               describePartial(partial) + " disagrees on " +
+                               field + ")");
+    }
+    if (partial.shard.index != static_cast<int>(s)) {
+      throw std::runtime_error(
+          "missing or duplicate shard " + std::to_string(s) +
+          " in partial set (got " + describePartial(partial) + ")");
+    }
     for (GridPointSummary& point : partial.points) {
-      merger.addPoint(std::move(point));
-    }
-    partial.points.clear();
-  }
-  return merger.finish();
-}
-
-std::vector<GridPointSummary> mergeCampaignPartialFiles(
-    const std::vector<std::string>& paths, CampaignPartial* headerOut) {
-  if (paths.empty()) {
-    throw std::runtime_error("no campaign partials to merge");
-  }
-  // Each file opens as a streaming reader: header parsed, points left on
-  // disk until the merge pulls them.
-  std::vector<std::unique_ptr<PartialBinaryFileReader>> sources;
-  sources.reserve(paths.size());
-  for (const std::string& path : paths) {
-    sources.push_back(std::make_unique<PartialBinaryFileReader>(path));
-  }
-  std::sort(sources.begin(), sources.end(),
-            [](const auto& a, const auto& b) {
-              return a->header().shard.index < b->header().shard.index;
-            });
-  PartialMerger merger(sources.size());
-  for (const auto& source : sources) {
-    merger.beginShard(source->header());
-    GridPointSummary point;
-    while (source->nextPoint(point)) {
-      merger.addPoint(std::move(point));
+      if (point.gridIndex >= merged.size()) {
+        throw std::runtime_error(
+            "partial grid index " + std::to_string(point.gridIndex) +
+            " out of range (" + describePartial(partial) + ")");
+      }
+      if (filled[point.gridIndex]) {
+        throw std::runtime_error(
+            "grid point " + std::to_string(point.gridIndex) +
+            " appears in more than one shard (" + describePartial(partial) +
+            ")");
+      }
+      filled[point.gridIndex] = true;
+      merged[point.gridIndex] = std::move(point);
     }
   }
-  if (headerOut != nullptr) {
-    *headerOut = merger.first();
-  }
-  return merger.finish();
+  return merged;
 }
 
 }  // namespace vanet::runner

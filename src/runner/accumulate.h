@@ -68,9 +68,6 @@ class CampaignAccumulator {
   /// done (converged or at the replication cap).
   bool complete() const noexcept;
 
-  /// Replications folded into the shard's `shardSlot`-th point so far.
-  int pointReplications(std::size_t shardSlot) const;
-
   /// The adaptive stop rule, evaluated at wave barriers: true once the
   /// point folded minReplications samples and either reached the cap or
   /// tightened confidence95/|mean| of the target metric to the target.
@@ -162,30 +159,30 @@ bool writeCampaignPartial(const std::string& path,
                           const CampaignPartial& partial,
                           PartialFormat format = PartialFormat::kBinary);
 
-/// Reads a binary partial file through PartialBinaryFileReader. Throws
-/// std::runtime_error prefixed with the path when the file cannot be
-/// read or parsed; parse errors carry the byte offset of the damage. A
-/// JSON partial from an older build fails as "not a binary campaign
-/// partial".
+/// Reads the binary partial at `path`: util::readFile, then
+/// parseCampaignPartialBinary. Throws std::runtime_error naming the path
+/// when the file cannot be read or parsed; parse errors carry the byte
+/// offset of the damage. A JSON partial from an older build fails as
+/// "not a binary campaign partial".
 CampaignPartial readCampaignPartial(const std::string& path);
 
+/// The first campaign-identity field on which two partials disagree --
+/// "scenario", "master seed", "shard count", "replication cap",
+/// "adaptive stop rule" or "grid totals" -- or nullptr when they
+/// describe the same campaign. Shard indices are not compared: the
+/// shards of one campaign differ there. The one identity check of both
+/// the shard merge and checkpoint resume.
+const char* campaignMismatch(const CampaignPartial& a,
+                             const CampaignPartial& b);
+
 /// Folds shard partials (any order given; folded in shard order) back
-/// into the full grid. Validates that the partials describe the same
+/// into the full grid -- the one merge, behind resultFromPartials and
+/// resultFromPartialFiles. Validates that the partials describe the same
 /// campaign, that every shard 0..count-1 is present exactly once, that
 /// none is an unfinished checkpoint, and that the points cover the full
 /// grid without overlap. Throws std::runtime_error on any mismatch. The
 /// returned summaries are bit-identical to the single-process run's.
 std::vector<GridPointSummary> mergeCampaignPartials(
     std::vector<CampaignPartial> partials);
-
-/// The streaming fast path behind campaign_merge: reads the named shard
-/// files and folds their points into the full grid with the same
-/// validation as mergeCampaignPartials, streaming point-by-point through
-/// buffered reads (peak memory one point record). When `headerOut` is
-/// non-null it receives the campaign identity of the set (points left
-/// empty).
-std::vector<GridPointSummary> mergeCampaignPartialFiles(
-    const std::vector<std::string>& paths,
-    CampaignPartial* headerOut = nullptr);
 
 }  // namespace vanet::runner

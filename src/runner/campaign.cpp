@@ -44,29 +44,14 @@ CampaignPartial loadCheckpoint(const std::string& path,
                              ": not a checkpoint (no resume state; this is a "
                              "finished shard partial)");
   }
-  const auto mismatch = [&path](const std::string& field) {
+  const char* field = campaignMismatch(checkpoint, expected);
+  if (field == nullptr && checkpoint.shard.index != expected.shard.index) {
+    field = "shard index";
+  }
+  if (field != nullptr) {
     throw std::runtime_error(path +
                              ": checkpoint describes a different campaign (" +
                              field + " disagrees)");
-  };
-  if (checkpoint.scenario != expected.scenario) mismatch("scenario");
-  if (checkpoint.masterSeed != expected.masterSeed) mismatch("master seed");
-  if (checkpoint.shard.index != expected.shard.index ||
-      checkpoint.shard.count != expected.shard.count) {
-    mismatch("shard");
-  }
-  if (checkpoint.replications != expected.replications) {
-    mismatch("replication cap");
-  }
-  if (checkpoint.targetRelativeCi95 != expected.targetRelativeCi95 ||
-      checkpoint.minReplications != expected.minReplications ||
-      checkpoint.maxReplications != expected.maxReplications ||
-      checkpoint.targetMetric != expected.targetMetric) {
-    mismatch("adaptive stop rule");
-  }
-  if (checkpoint.totalPoints != expected.totalPoints ||
-      checkpoint.totalJobs != expected.totalJobs) {
-    mismatch("grid totals");
   }
   return checkpoint;
 }
@@ -151,6 +136,7 @@ CampaignResult runCampaign(const CampaignConfig& config) {
   merged.waves = stats.waves;
   merged.shard = config.shard;
   merged.threads = stats.threads;
+  merged.roundThreads = plan->roundThreads();
   merged.jobCount = stats.jobsRun;
   merged.totalPoints = plan->points().size();
   merged.totalJobs = plan->totalJobCount();
@@ -186,12 +172,13 @@ CampaignPartial campaignPartial(const CampaignResult& result) {
   return partial;
 }
 
-namespace {
-
-/// Rebuilds the full-grid CampaignResult around already-merged points;
-/// `header` carries the campaign identity of the partial set.
-CampaignResult resultFromMerged(const CampaignPartial& header,
-                                std::vector<GridPointSummary> points) {
+CampaignResult resultFromPartials(std::vector<CampaignPartial> partials) {
+  if (partials.empty()) {
+    throw std::runtime_error("no campaign partials to merge");
+  }
+  // The identity comes from any one partial (the merge checks that they
+  // agree); the points are moved into the merge, never copied.
+  const CampaignPartial& header = partials.front();
   CampaignResult merged;
   merged.scenario = header.scenario;
   merged.masterSeed = header.masterSeed;
@@ -203,7 +190,7 @@ CampaignResult resultFromMerged(const CampaignPartial& header,
   merged.shard = Shard{0, 1};  // the merge covers the full grid
   merged.totalPoints = header.totalPoints;
   merged.totalJobs = header.totalJobs;
-  merged.points = std::move(points);
+  merged.points = mergeCampaignPartials(std::move(partials));
   // Jobs actually run across every shard: adaptive points record their
   // stop point, so the sum is exact in both modes. The executed wave
   // count is equally reconstructible -- it is the deepest per-point
@@ -229,22 +216,13 @@ CampaignResult resultFromMerged(const CampaignPartial& header,
   return merged;
 }
 
-}  // namespace
-
-CampaignResult resultFromPartials(std::vector<CampaignPartial> partials) {
-  if (partials.empty()) {
-    throw std::runtime_error("no campaign partials to merge");
-  }
-  CampaignPartial header = partials.front();
-  header.points.clear();
-  return resultFromMerged(header, mergeCampaignPartials(std::move(partials)));
-}
-
 CampaignResult resultFromPartialFiles(const std::vector<std::string>& paths) {
-  CampaignPartial header;
-  std::vector<GridPointSummary> points =
-      mergeCampaignPartialFiles(paths, &header);
-  return resultFromMerged(header, std::move(points));
+  std::vector<CampaignPartial> partials;
+  partials.reserve(paths.size());
+  for (const std::string& path : paths) {
+    partials.push_back(readCampaignPartial(path));
+  }
+  return resultFromPartials(std::move(partials));
 }
 
 }  // namespace vanet::runner

@@ -44,6 +44,8 @@ struct CampaignResult {
   int waves = 0;         ///< replication waves executed (1 when fixed)
   Shard shard{};         ///< which slice this process ran
   int threads = 0;           ///< workers actually used
+  /// Round workers requested per job (CampaignConfig::roundThreads).
+  int roundThreads = 0;
   std::size_t jobCount = 0;  ///< jobs run by this process
   std::size_t totalPoints = 0;  ///< full-grid point count
   /// Full job-index space of the plan (upper bound when adaptive).
@@ -80,14 +82,12 @@ CampaignPartial campaignPartial(const CampaignResult& result);
 /// Reassembles a full CampaignResult from every shard's partial (see
 /// mergeCampaignPartials for validation). Emitted CSV/JSON/figure bytes
 /// of the returned result match the single-process run exactly;
-/// throughput fields (threads, wall-clock) are zeroed -- they are not
-/// meaningful for a merge.
+/// throughput fields (threads, round threads, wall-clock) are zeroed --
+/// they are not meaningful for a merge.
 CampaignResult resultFromPartials(std::vector<CampaignPartial> partials);
 
-/// resultFromPartials over files: the streaming fast path of
-/// campaign_merge. Shard files fold point-by-point through buffered
-/// reads (peak memory one point record). Same validation -- and the same
-/// merged bytes -- as reading every file and calling resultFromPartials.
+/// resultFromPartials over files: reads each one with
+/// readCampaignPartial, then merges them. Every error names the file.
 CampaignResult resultFromPartialFiles(const std::vector<std::string>& paths);
 
 }  // namespace vanet::runner

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "analysis/serialize.h"
 #include "trace/serialize.h"
@@ -23,6 +24,9 @@ constexpr std::uint32_t kSectionCheckpoint = 3;
 constexpr std::size_t kProloguePrefix = 8 + 4 + 4;
 constexpr std::size_t kTableEntrySize = 4 + 4 + 8 + 8;
 constexpr std::size_t kChecksumSize = 8;
+/// The u64 length every point record is framed by: the smallest encoded
+/// size of a point.
+constexpr std::size_t kRecordFramingSize = 8;
 
 struct SectionEntry {
   std::uint32_t id = 0;
@@ -147,8 +151,7 @@ GridPointSummary parsePointRecord(BinReader& in) {
 }
 
 /// Parses the fixed prologue (magic, version, section count -- the first
-/// kProloguePrefix bytes) and returns the section count; used by both
-/// the in-memory parser and the streaming reader.
+/// kProloguePrefix bytes) and returns the section count.
 std::uint32_t parsePrologue(BinReader& in) {
   char magic[8];
   in.need(sizeof magic, "magic");
@@ -187,13 +190,8 @@ std::vector<SectionEntry> parseSectionTable(BinReader& in,
   return table;
 }
 
-/// Payload end of a stream read sequentially, which cannot know where the
-/// checksum sits without a seek.
-constexpr std::size_t kUnknownPayloadEnd = SIZE_MAX;
-
-/// Section-table sanity shared by both readers: offsets must tile the
-/// payload region [payloadStart, payloadEnd) in order, gap-free. With
-/// kUnknownPayloadEnd only the tiling, ids and order are checked.
+/// Section-table sanity: offsets must tile the payload region
+/// [payloadStart, payloadEnd) in order, gap-free.
 void validateSectionTable(const std::vector<SectionEntry>& table,
                           std::size_t payloadStart, std::size_t payloadEnd) {
   std::size_t cursor = payloadStart;
@@ -212,10 +210,11 @@ void validateSectionTable(const std::vector<SectionEntry>& table,
     }
     if (entry.length > payloadEnd - cursor) {
       throw std::runtime_error(
-          "section " + std::to_string(entry.id) + " at byte offset " +
-          std::to_string(entry.offset) + " overruns the file (length " +
-          std::to_string(entry.length) + ", " +
-          std::to_string(payloadEnd - cursor) + " bytes before checksum)");
+          "truncated: section " + std::to_string(entry.id) +
+          " at byte offset " + std::to_string(entry.offset) +
+          " overruns the file (length " + std::to_string(entry.length) +
+          ", " + std::to_string(payloadEnd - cursor) +
+          " bytes before checksum)");
     }
     cursor += entry.length;
   }
@@ -225,10 +224,11 @@ void validateSectionTable(const std::vector<SectionEntry>& table,
   if (table.back().id != kSectionPoints) {
     throw std::runtime_error("last section must be the points");
   }
-  if (payloadEnd != kUnknownPayloadEnd && cursor != payloadEnd) {
+  if (cursor != payloadEnd) {
     throw std::runtime_error(
-        "section table covers " + std::to_string(cursor - payloadStart) +
-        " payload bytes, file has " + std::to_string(payloadEnd - payloadStart));
+        "trailing bytes: the section table covers " +
+        std::to_string(cursor - payloadStart) + " payload bytes, file has " +
+        std::to_string(payloadEnd - payloadStart));
   }
 }
 
@@ -311,7 +311,8 @@ CampaignPartial parseCampaignPartialBinary(std::string_view data) {
         parseCheckpointSection(in, partial);
         break;
       case kSectionPoints: {
-        partial.points.reserve(pointCount);
+        in.needCount(pointCount, kRecordFramingSize, "header point count");
+        partial.points.reserve(static_cast<std::size_t>(pointCount));
         for (std::uint64_t k = 0; k < pointCount; ++k) {
           try {
             const std::uint64_t recordLen = in.u64("point record length");
@@ -336,131 +337,6 @@ CampaignPartial parseCampaignPartialBinary(std::string_view data) {
     }
   }
   return partial;
-}
-
-PartialBinaryFileReader::PartialBinaryFileReader(const std::string& path)
-    : path_(path), runningHash_(util::fnv1a64(nullptr, 0)) {
-  file_ = std::fopen(path.c_str(), "rb");
-  if (file_ == nullptr) {
-    throw std::runtime_error("cannot open " + path + " for reading");
-  }
-  try {
-    // Prologue: magic, version, section count, then the table. The
-    // shared parse helpers throw bare messages; fail() names the file.
-    std::string prefix(kProloguePrefix, '\0');
-    readExact(prefix.data(), prefix.size(), "file prologue");
-    std::uint32_t sectionCount = 0;
-    try {
-      BinReader prefixReader(prefix);
-      sectionCount = parsePrologue(prefixReader);
-    } catch (const std::runtime_error& error) {
-      fail(error.what());
-    }
-    std::string tableBytes(sectionCount * kTableEntrySize, '\0');
-    readExact(tableBytes.data(), tableBytes.size(), "section table");
-    BinReader tableReader(tableBytes, kProloguePrefix);
-    const std::vector<SectionEntry> table =
-        parseSectionTable(tableReader, sectionCount);
-    try {
-      validateSectionTable(table, fileOffset_, kUnknownPayloadEnd);
-    } catch (const std::runtime_error& error) {
-      fail(error.what());
-    }
-
-    // Everything before the points parses up front (header, checkpoint);
-    // the points then stream record by record.
-    std::uint64_t pointCount = 0;
-    for (std::size_t s = 0; s + 1 < table.size(); ++s) {
-      const SectionEntry& entry = table[s];
-      std::string payload(entry.length, '\0');
-      readExact(payload.data(), payload.size(),
-                entry.id == kSectionHeader ? "header section"
-                                           : "checkpoint section");
-      BinReader in(payload, entry.offset);
-      if (entry.id == kSectionHeader) {
-        pointCount = parseHeaderSection(in, header_);
-      } else {
-        parseCheckpointSection(in, header_);
-      }
-    }
-    header_.sourcePath = path_;
-    remaining_ = static_cast<std::size_t>(pointCount);
-    if (remaining_ == 0) {
-      // Zero-point shard: nothing will call into the record loop, so the
-      // checksum trailer verifies here.
-      GridPointSummary unused;
-      nextPoint(unused);
-    }
-  } catch (...) {
-    std::fclose(file_);
-    file_ = nullptr;
-    throw;
-  }
-}
-
-PartialBinaryFileReader::~PartialBinaryFileReader() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-void PartialBinaryFileReader::fail(const std::string& message) const {
-  throw std::runtime_error(path_ + ": " + message);
-}
-
-void PartialBinaryFileReader::readExact(void* into, std::size_t size,
-                                        const char* what) {
-  if (size == 0) return;
-  const std::size_t got = std::fread(into, 1, size, file_);
-  if (got != size) {
-    fail("truncated at byte offset " + std::to_string(fileOffset_ + got) +
-         " while reading " + what + " (need " + std::to_string(size) +
-         " bytes, have " + std::to_string(got) + ")");
-  }
-  runningHash_ = util::fnv1a64(into, size, runningHash_);
-  fileOffset_ += size;
-}
-
-bool PartialBinaryFileReader::nextPoint(GridPointSummary& out) {
-  if (remaining_ == 0) {
-    if (file_ != nullptr) {
-      // Verify the trailing checksum exactly once, after the last record.
-      const std::uint64_t computed = runningHash_;
-      char trailer[kChecksumSize];
-      readExact(trailer, sizeof trailer, "file checksum");
-      BinReader in(std::string_view(trailer, sizeof trailer),
-                   fileOffset_ - kChecksumSize);
-      const std::uint64_t stored = in.u64("file checksum");
-      if (stored != computed) {
-        fail("checksum mismatch: file is corrupt (stored " +
-             std::to_string(stored) + ", computed " +
-             std::to_string(computed) + ")");
-      }
-      if (std::fgetc(file_) != EOF) {
-        fail("trailing garbage after the checksum at byte offset " +
-             std::to_string(fileOffset_));
-      }
-      std::fclose(file_);
-      file_ = nullptr;
-    }
-    return false;
-  }
-  char lenBytes[8];
-  readExact(lenBytes, sizeof lenBytes, "point record length");
-  BinReader lenReader(std::string_view(lenBytes, sizeof lenBytes),
-                      fileOffset_ - sizeof lenBytes);
-  const std::uint64_t recordLen = lenReader.u64("point record length");
-  recordBuf_.resize(static_cast<std::size_t>(recordLen));
-  const std::size_t recordOffset = fileOffset_;
-  readExact(recordBuf_.data(), recordBuf_.size(), "point record");
-  try {
-    BinReader record(recordBuf_, recordOffset);
-    out = parsePointRecord(record);
-  } catch (const std::runtime_error& error) {
-    fail("point record " + std::to_string(streamed_ + 1) + ": " +
-         error.what());
-  }
-  ++streamed_;
-  --remaining_;
-  return true;
 }
 
 }  // namespace vanet::runner

@@ -83,8 +83,4 @@ std::string renderScenarioList() {
   return out.str();
 }
 
-ScenarioRegistrar::ScenarioRegistrar(ScenarioInfo info) {
-  ScenarioRegistry::global().add(std::move(info));
-}
-
 }  // namespace vanet::runner

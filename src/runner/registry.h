@@ -84,7 +84,7 @@ struct ScenarioInfo {
 
 /// Name -> scenario map. The built-in scenarios ("urban", "highway",
 /// "highway_file") are registered on first access of global(); user code
-/// adds its own via ScenarioRegistrar or add().
+/// adds its own via add().
 class ScenarioRegistry {
  public:
   /// The process-wide registry, built-ins included.
@@ -120,33 +120,6 @@ std::string registeredScenarioList();
 ///   name = default  help
 /// -- what `vanet_campaign list` prints.
 std::string renderScenarioList();
-
-/// Registers a scenario at static-initialisation time -- the plug-in
-/// path: a new experiment family is one self-contained translation unit
-///
-///   #include "runner/registry.h"
-///   namespace {
-///   vanet::runner::JobResult runMine(const vanet::runner::JobContext& ctx) {
-///     ...  // ctx.params, ctx.seed, ctx.roundThreads
-///   }
-///   vanet::runner::ScenarioRegistrar registerMine{{
-///       "mine",
-///       "one-line description",
-///       {{"rounds", 10, "simulated rounds"}, ...},  // ParamSpecs
-///       runMine,
-///       "pdr",                                // defaultTargetMetric
-///       {"campaign_csv", "campaign_json"},    // defaultEmit
-///   }};
-///   }  // namespace
-///
-/// linked into the binary; campaigns and spec files then refer to it
-/// purely by name. Note: inside a static library, self-registration only
-/// fires when the translation unit is linked in (or force-linked); the
-/// built-ins are therefore pulled in explicitly by
-/// ScenarioRegistry::global().
-struct ScenarioRegistrar {
-  explicit ScenarioRegistrar(ScenarioInfo info);
-};
 
 namespace detail {
 /// Defined in scenarios.cpp; called once by global().

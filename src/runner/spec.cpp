@@ -1,8 +1,6 @@
 #include "runner/spec.h"
 
 #include <algorithm>
-#include <fstream>
-#include <iterator>
 #include <limits>
 #include <stdexcept>
 
@@ -10,6 +8,7 @@
 #include "runner/emit.h"
 #include "runner/registry.h"
 #include "util/binio.h"
+#include "util/file.h"
 #include "util/json.h"
 #include "util/text.h"
 
@@ -407,12 +406,7 @@ CampaignSpec parseCampaignSpec(const std::string& text) {
 }
 
 CampaignSpec loadCampaignSpec(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("cannot open campaign spec '" + path + "'");
-  }
-  const std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
+  const std::string text = util::readFile(path);  // names the path itself
   try {
     return parseCampaignSpec(text);
   } catch (const std::exception& error) {

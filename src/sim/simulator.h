@@ -72,9 +72,6 @@ class Simulator {
   /// Makes run()/runUntil() return after the current event completes.
   void stop() noexcept { stopped_ = true; }
 
-  /// Clears a previous stop() so the simulator can be driven further.
-  void clearStop() noexcept { stopped_ = false; }
-
   /// Number of events currently pending (excluding cancelled ones).
   std::size_t pendingCount() const noexcept { return liveCount_; }
 

@@ -34,6 +34,9 @@ std::string seriesToJson(const SeriesAccumulator& series) {
 
 namespace {
 
+/// Encoded size of an empty RunningStats: its u64 sample count alone.
+constexpr std::size_t kMinStatsSize = 8;
+
 /// The Table1Row stat columns in serialization order. Kept in one place
 /// so writer and reader cannot drift.
 std::vector<RunningStats Table1Row::*> table1Columns() {
@@ -114,6 +117,7 @@ void seriesToBin(util::BinWriter& out, const SeriesAccumulator& series) {
 
 SeriesAccumulator seriesFromBin(util::BinReader& in) {
   const std::uint32_t count = in.u32("series cell count");
+  in.needCount(count, kMinStatsSize, "series cell count");
   std::vector<RunningStats> cells;
   cells.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -139,6 +143,9 @@ Table1Data table1FromBin(util::BinReader& in) {
   data.rounds = in.i64("table1 rounds");
   const auto columns = table1Columns();
   const std::uint32_t rowCount = in.u32("table1 row count");
+  // A row is its car id plus one RunningStats per column.
+  in.needCount(rowCount, 4 + columns.size() * kMinStatsSize,
+               "table1 row count");
   data.rows.reserve(rowCount);
   for (std::uint32_t r = 0; r < rowCount; ++r) {
     Table1Row row;

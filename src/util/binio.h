@@ -175,6 +175,21 @@ class BinReader {
     }
   }
 
+  /// Throws unless `count` elements of at least `minSize` encoded bytes
+  /// each fit in the bytes left. Run on a count read from the stream
+  /// before it sizes an allocation, so a damaged count fails by name
+  /// here instead of exhausting memory.
+  void needCount(std::uint64_t count, std::size_t minSize,
+                 const char* what) const {
+    if (count > remaining() / minSize) {
+      throw std::runtime_error(
+          std::string(what) + " " + std::to_string(count) +
+          " is implausible at byte offset " + std::to_string(offset()) +
+          ": each entry takes at least " + std::to_string(minSize) +
+          " bytes, " + std::to_string(remaining()) + " are left");
+    }
+  }
+
  private:
   std::string_view data_;
   std::size_t base_ = 0;

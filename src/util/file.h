@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file file.h
-/// Output locations and whole-file artefact writes.
+/// Output locations and whole-file reads and artefact writes.
 
 #include <fstream>
 #include <ios>
@@ -27,6 +27,12 @@ std::ofstream openForRewrite(const std::string& path,
 /// final flush, which a stream destructor would silently drop. Callers
 /// log their own message on false.
 bool writeFile(const std::string& path, std::string_view bytes);
+
+/// The complete contents of `path`. Throws std::runtime_error naming the
+/// path when it is missing, is a directory, or fails mid-read. The string
+/// holds exactly the bytes read: the file system's size is only a hint
+/// for the one sized read, never trusted as the length.
+std::string readFile(const std::string& path);
 
 /// Fails fast on an output location, before any work that would be lost:
 /// throws std::runtime_error naming `flag` and `dir` unless `dir` (empty =

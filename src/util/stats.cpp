@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <utility>
 
 #include "util/assert.h"
@@ -95,79 +94,6 @@ double tQuantile95(std::size_t degreesOfFreedom) noexcept {
 double RunningStats::confidence95() const noexcept {
   if (count_ < 2) return 0.0;
   return tQuantile95(count_ - 1) * stderrOfMean();
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), binWidth_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0) {
-  VANET_ASSERT(hi > lo, "histogram range must be non-empty");
-  VANET_ASSERT(bins > 0, "histogram needs at least one bin");
-}
-
-void Histogram::add(double x) noexcept {
-  // NaN has no bin position at all: dropped entirely, not counted toward
-  // total_, so quantiles stay consistent with the recorded mass.
-  if (std::isnan(x)) return;
-  // Clamp in the *double* domain before the integer cast: converting a
-  // double outside the target type's range (1e300, +-inf, or NaN above)
-  // is undefined behaviour, not a saturation.
-  const double position = (x - lo_) / binWidth_;
-  std::size_t bin = 0;
-  if (position >= static_cast<double>(counts_.size())) {
-    bin = counts_.size() - 1;
-  } else if (position > 0.0) {
-    bin = static_cast<std::size_t>(position);
-  }
-  ++counts_[bin];
-  ++total_;
-}
-
-std::uint64_t Histogram::binCount(std::size_t bin) const {
-  VANET_ASSERT(bin < counts_.size(), "bin out of range");
-  return counts_[bin];
-}
-
-double Histogram::binLow(std::size_t bin) const {
-  VANET_ASSERT(bin < counts_.size(), "bin out of range");
-  return lo_ + binWidth_ * static_cast<double>(bin);
-}
-
-double Histogram::binHigh(std::size_t bin) const { return binLow(bin) + binWidth_; }
-
-double Histogram::quantile(double q) const noexcept {
-  if (total_ == 0) return lo_;
-  const double target = q * static_cast<double>(total_);
-  double cumulative = 0.0;
-  for (std::size_t bin = 0; bin < counts_.size(); ++bin) {
-    const auto c = static_cast<double>(counts_[bin]);
-    // Empty bins carry no quantile mass: without the c > 0 guard, an
-    // empty bin sitting exactly at the target boundary (cumulative ==
-    // target, e.g. q == 0 before any mass) would claim the quantile and
-    // report its own low edge instead of where the data actually is.
-    if (c > 0.0 && cumulative + c >= target) {
-      const double inBin = std::max(0.0, (target - cumulative) / c);
-      return binLow(bin) + binWidth_ * inBin;
-    }
-    cumulative += c;
-  }
-  return hi_;
-}
-
-std::string Histogram::render(std::size_t width) const {
-  std::ostringstream out;
-  const std::uint64_t peak = counts_.empty()
-                                 ? 0
-                                 : *std::max_element(counts_.begin(), counts_.end());
-  for (std::size_t bin = 0; bin < counts_.size(); ++bin) {
-    const std::size_t bar =
-        peak == 0 ? 0
-                  : static_cast<std::size_t>(static_cast<double>(counts_[bin]) /
-                                             static_cast<double>(peak) *
-                                             static_cast<double>(width));
-    out << "[" << binLow(bin) << ", " << binHigh(bin) << ") "
-        << std::string(bar, '#') << " " << counts_[bin] << "\n";
-  }
-  return out.str();
 }
 
 void SeriesAccumulator::add(std::size_t i, double value) {

@@ -2,13 +2,11 @@
 
 /// \file stats.h
 /// Streaming statistics used by the trace/analysis layers: Welford running
-/// moments, fixed-bin histograms, and per-index series accumulators (one
-/// Welford cell per packet number, used for the paper's figures).
+/// moments and per-index series accumulators (one Welford cell per packet
+/// number, used for the paper's figures).
 
 #include <cstddef>
-#include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace vanet {
@@ -61,38 +59,6 @@ class RunningStats {
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Fixed-width-bin histogram over [lo, hi); out-of-range samples
-/// (including +-infinity) clamp to the first/last bin so mass is never
-/// lost. NaN samples are dropped entirely -- they have no position, so
-/// they count toward neither a bin nor total().
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-
-  std::size_t bins() const noexcept { return counts_.size(); }
-  std::uint64_t binCount(std::size_t bin) const;
-  double binLow(std::size_t bin) const;
-  double binHigh(std::size_t bin) const;
-  std::uint64_t total() const noexcept { return total_; }
-
-  /// Approximate quantile (q in [0,1]) by linear walk over bins. Empty
-  /// bins carry no mass: the result always lies inside a bin that
-  /// recorded samples (the range's low edge when the histogram is empty).
-  double quantile(double q) const noexcept;
-
-  /// Multi-line ASCII rendering, for debugging and example output.
-  std::string render(std::size_t width = 50) const;
-
- private:
-  double lo_;
-  double hi_;
-  double binWidth_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 /// A vector of RunningStats cells indexed by an integer key (for example

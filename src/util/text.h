@@ -34,13 +34,15 @@ inline std::size_t editDistance(std::string_view a, std::string_view b) {
 }
 
 /// The candidate closest to `name` by edit distance, or an empty string
-/// when nothing is within `maxDistance` edits (a hint further away than
-/// that would mislead more than it helps). Ties resolve to the first
-/// candidate in iteration order, so sorted candidate lists give
-/// deterministic hints.
+/// when nothing is within max(1, min(3, |name| / 3)) edits: the cap
+/// grows with the typed name, because a hint further away than that
+/// would mislead more than it helps ("seed" is 3 edits from "shard",
+/// which is no typo of it). Ties resolve to the first candidate in
+/// iteration order, so sorted candidate lists give deterministic hints.
 inline std::string nearestName(std::string_view name,
-                               const std::vector<std::string>& candidates,
-                               std::size_t maxDistance = 3) {
+                               const std::vector<std::string>& candidates) {
+  const std::size_t maxDistance =
+      std::max<std::size_t>(1, std::min<std::size_t>(3, name.size() / 3));
   std::string best;
   std::size_t bestDistance = maxDistance + 1;
   for (const std::string& candidate : candidates) {

@@ -1,10 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "analysis/experiment.h"
-#include "trace/reception_matrix.h"
+#include "trace/round_trace.h"
 
 namespace vanet::analysis {
 namespace {
+
+/// `car` holds its own-flow `seq` after cooperation: received directly
+/// from the AP or recovered from a platoon member.
+bool heldAfterCoop(const trace::RoundTrace& trace, NodeId car, SeqNo seq) {
+  return trace.wasOverheard(car, car, seq) || trace.wasRecovered(car, seq);
+}
 
 /// The paper's optimality claim (Figs. 6-8): given the receptions across
 /// the platoon, each car recovers essentially every packet some platoon
@@ -25,13 +33,13 @@ TEST_P(OptimalityProperty, AfterCoopEqualsJointWithinWindow) {
   const trace::RoundTrace trace = experiment.runRound(0).trace;
 
   for (const NodeId car : trace.carIds()) {
-    const trace::ReceptionMatrix matrix(trace, car);
-    if (matrix.maxSeq() == 0) continue;
+    const SeqNo maxSeq = trace.maxSeqTransmitted(car);
+    if (maxSeq == 0) continue;
     // The car's request window: [first, last] directly received seq.
     SeqNo first = 0;
     SeqNo last = 0;
-    for (SeqNo seq = 1; seq <= matrix.maxSeq(); ++seq) {
-      if (matrix.received(car, seq)) {
+    for (SeqNo seq = 1; seq <= maxSeq; ++seq) {
+      if (trace.wasOverheard(car, car, seq)) {
         if (first == 0) first = seq;
         last = seq;
       }
@@ -42,8 +50,8 @@ TEST_P(OptimalityProperty, AfterCoopEqualsJointWithinWindow) {
     int heldInWindow = 0;
     int violations = 0;
     for (SeqNo seq = first; seq <= last; ++seq) {
-      const bool joint = matrix.joint(seq);
-      const bool held = matrix.afterCoop(seq);
+      const bool joint = trace.anyOverheard(car, seq);
+      const bool held = heldAfterCoop(trace, car, seq);
       EXPECT_LE(held, joint) << "car " << car << " seq " << seq;
       if (joint) ++jointInWindow;
       if (held) ++heldInWindow;
@@ -69,9 +77,9 @@ TEST(OptimalityBaselineTest, NoCooperationMeansNoRecoveries) {
   UrbanExperiment experiment(config);
   const trace::RoundTrace trace = experiment.runRound(0).trace;
   for (const NodeId car : trace.carIds()) {
-    const trace::ReceptionMatrix matrix(trace, car);
-    for (SeqNo seq = 1; seq <= matrix.maxSeq(); ++seq) {
-      EXPECT_EQ(matrix.afterCoop(seq), matrix.received(car, seq));
+    for (SeqNo seq = 1; seq <= trace.maxSeqTransmitted(car); ++seq) {
+      EXPECT_FALSE(trace.wasRecovered(car, seq))
+          << "car " << car << " seq " << seq;
     }
   }
 }
@@ -93,10 +101,10 @@ TEST_P(NoFabricationProperty, RecoveredSubsetOfJoint) {
   UrbanExperiment experiment(config);
   const trace::RoundTrace trace = experiment.runRound(0).trace;
   for (const NodeId car : trace.carIds()) {
-    const trace::ReceptionMatrix matrix(trace, car);
-    for (SeqNo seq = 1; seq <= matrix.maxSeq(); ++seq) {
-      if (matrix.afterCoop(seq)) {
-        EXPECT_TRUE(matrix.joint(seq)) << "car " << car << " seq " << seq;
+    for (SeqNo seq = 1; seq <= trace.maxSeqTransmitted(car); ++seq) {
+      if (heldAfterCoop(trace, car, seq)) {
+        EXPECT_TRUE(trace.anyOverheard(car, seq))
+            << "car " << car << " seq " << seq;
       }
     }
   }

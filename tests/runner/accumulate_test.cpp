@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iterator>
@@ -111,10 +112,29 @@ TEST(AccumulateTest, MergeValidatesShardSets) {
   EXPECT_THROW(mergeCampaignPartials({shard0}), std::runtime_error);
   // Duplicate shard 0.
   EXPECT_THROW(mergeCampaignPartials({shard0, shard0}), std::runtime_error);
-  // Shards from different campaigns.
+  // Shards from different campaigns: the error names the field.
   config.masterSeed = 2009;
   const CampaignPartial foreign = campaignPartial(runCampaign(config));
-  EXPECT_THROW(mergeCampaignPartials({shard0, foreign}), std::runtime_error);
+  try {
+    mergeCampaignPartials({shard0, foreign});
+    FAIL() << "a foreign shard must not merge";
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("shard 1/2 disagrees on master seed"),
+              std::string::npos)
+        << what;
+  }
+  // A shard that lost a point leaves the grid incomplete.
+  CampaignPartial shortShard0 = shard0;
+  shortShard0.points.pop_back();
+  try {
+    mergeCampaignPartials({shortShard0, shard1});
+    FAIL() << "an incomplete grid must not merge";
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("hold 3 of 4 grid points"), std::string::npos)
+        << what;
+  }
   // The healthy set still merges.
   EXPECT_EQ(mergeCampaignPartials({shard0, shard1}).size(), 4u);
 }
@@ -188,7 +208,7 @@ TEST(AccumulateTest, LegacyJsonPartialFailsByNameOnEveryReadPath) {
     }
   };
   expectNamed([&path] { readCampaignPartial(path); });
-  expectNamed([&path] { mergeCampaignPartialFiles({path}); });
+  expectNamed([&path] { resultFromPartialFiles({path}); });
   CampaignConfig resume = urbanCampaign();
   resume.checkpointPath = path;
   resume.resume = true;
@@ -230,11 +250,27 @@ TEST(AccumulateTest, MergeFilesReportsTheUnreadableFile) {
                                    campaignPartial(runCampaign(config))));
   const std::string missing = ::testing::TempDir() + "/merge_gone.part";
   try {
-    mergeCampaignPartialFiles({good, missing});
+    resultFromPartialFiles({good, missing});
     FAIL() << "missing shard file must not merge";
   } catch (const std::runtime_error& error) {
     EXPECT_NE(std::string(error.what()).find(missing), std::string::npos)
         << error.what();
+  }
+}
+
+TEST(AccumulateTest, DirectoryIsRejectedByName) {
+  const std::string dir = ::testing::TempDir() + "/partials_dir";
+  std::filesystem::create_directories(dir);
+  for (const auto& read : std::vector<std::function<void()>>{
+           [&dir] { readCampaignPartial(dir); },
+           [&dir] { resultFromPartialFiles({dir}); }}) {
+    try {
+      read();
+      FAIL() << "a directory must not read as a partial";
+    } catch (const std::runtime_error& error) {
+      const std::string what = error.what();
+      EXPECT_EQ(what.rfind("cannot read " + dir + ": ", 0), 0u) << what;
+    }
   }
 }
 

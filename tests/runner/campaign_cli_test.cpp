@@ -197,6 +197,21 @@ TEST_F(CampaignCliTest, SeedFlagIsRejectedBecauseTheSeedIsTheSpecs) {
   EXPECT_EQ(WEXITSTATUS(result.status), 2) << result.output;
   EXPECT_NE(result.output.find("unknown flag --seed"), std::string::npos)
       << result.output;
+  // "seed" is 3 edits from "shard": no hint, rather than a wrong one.
+  EXPECT_EQ(result.output.find("did you mean"), std::string::npos)
+      << result.output;
+  EXPECT_FALSE(anyJobRan(result)) << result.output;
+}
+
+TEST_F(CampaignCliTest, SpecThatIsADirectoryFailsNamingThePath) {
+  const std::string specDir = (dir_ / "specs").string();
+  fs::create_directories(specDir);
+  const CliRun result = run("", specDir);
+  ASSERT_TRUE(WIFEXITED(result.status)) << result.output;
+  EXPECT_EQ(WEXITSTATUS(result.status), 1) << result.output;
+  EXPECT_NE(result.output.find("error: cannot read " + specDir),
+            std::string::npos)
+      << result.output;
   EXPECT_FALSE(anyJobRan(result)) << result.output;
 }
 

@@ -270,6 +270,7 @@ TEST(CampaignEmitTest, CsvHasHeaderAndOneRowPerPoint) {
 TEST(CampaignEmitTest, ArtefactWritersDropManifestSidecars) {
   CampaignConfig config = tinyUrbanCampaign();
   config.threads = 2;
+  config.roundThreads = 4;
   const CampaignResult result = runCampaign(config);
   const std::string path = ::testing::TempDir() + "/sidecar_probe.json";
   ASSERT_TRUE(writeCampaignJson(path, result));
@@ -283,6 +284,7 @@ TEST(CampaignEmitTest, ArtefactWritersDropManifestSidecars) {
   EXPECT_EQ(manifest.scenario, "urban");
   EXPECT_EQ(manifest.masterSeed, 2008u);
   EXPECT_EQ(manifest.threads, 2);
+  EXPECT_EQ(manifest.roundThreads, 4);
   ASSERT_EQ(manifest.points.size(), result.points.size());
   for (std::size_t p = 0; p < manifest.points.size(); ++p) {
     EXPECT_EQ(manifest.points[p].gridIndex, result.points[p].gridIndex);

@@ -1,9 +1,8 @@
 /// \file plugin_scenario_test.cpp
 /// Out-of-library scenario registration: a translation unit the vanet
-/// library knows nothing about registers a scenario through
-/// ScenarioRegistrar (static-init, exactly as a plug-in would), and a
-/// campaign spec naming it parses, plans, runs, and emits artefacts
-/// end to end.
+/// library knows nothing about adds a scenario to the global registry
+/// (at static init, exactly as a plug-in would), and a campaign spec
+/// naming it parses, plans, runs, and emits artefacts end to end.
 
 #include <gtest/gtest.h>
 
@@ -22,24 +21,28 @@ namespace {
 
 /// The plug-in: registered at static-initialization time, before main,
 /// with its own default target metric and emit list.
-const ScenarioRegistrar kPluginScenario{{
-    "plugin-echo",
-    "test plug-in: echoes its parameters as metrics",
-    {{"gain", 2.0, "multiplier applied to the replication index"},
-     {"rounds", 1.0, "rounds per job (unused, present for the common base)"}},
-    [](const JobContext& job) {
-      JobResult result;
-      result.metrics["echo"] =
-          job.params.get("gain", 0.0) * (1.0 + job.replication);
-      result.metrics["pdr"] = 1.0;
-      result.rounds = 1;
-      return result;
-    },
-    /*defaultTargetMetric=*/"echo",
-    /*defaultEmit=*/{"campaign_csv"},
-}};
+const bool kPluginScenarioRegistered = [] {
+  ScenarioRegistry::global().add({
+      "plugin-echo",
+      "test plug-in: echoes its parameters as metrics",
+      {{"gain", 2.0, "multiplier applied to the replication index"},
+       {"rounds", 1.0, "rounds per job (unused, present for the common base)"}},
+      [](const JobContext& job) {
+        JobResult result;
+        result.metrics["echo"] =
+            job.params.get("gain", 0.0) * (1.0 + job.replication);
+        result.metrics["pdr"] = 1.0;
+        result.rounds = 1;
+        return result;
+      },
+      /*defaultTargetMetric=*/"echo",
+      /*defaultEmit=*/{"campaign_csv"},
+  });
+  return true;
+}();
 
-TEST(PluginScenarioTest, RegistrarRunsBeforeMain) {
+TEST(PluginScenarioTest, RegistrationRunsBeforeMain) {
+  ASSERT_TRUE(kPluginScenarioRegistered);
   const ScenarioInfo* info = ScenarioRegistry::global().find("plugin-echo");
   ASSERT_NE(info, nullptr);
   EXPECT_EQ(info->defaultTargetMetric, "echo");

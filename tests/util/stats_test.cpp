@@ -186,118 +186,6 @@ TEST(RunningStatsTest, ConfidenceShrinksWithSamples) {
               1e-9);
 }
 
-TEST(HistogramTest, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);   // bin 0
-  h.add(9.99);  // bin 9
-  h.add(-5.0);  // clamps to bin 0
-  h.add(50.0);  // clamps to bin 9
-  EXPECT_EQ(h.binCount(0), 2u);
-  EXPECT_EQ(h.binCount(9), 2u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(HistogramTest, BinEdges) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(h.binLow(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.binHigh(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.binLow(4), 8.0);
-  EXPECT_DOUBLE_EQ(h.binHigh(4), 10.0);
-}
-
-TEST(HistogramTest, QuantileOfUniformData) {
-  Histogram h(0.0, 1.0, 100);
-  Rng rng{3};
-  for (int i = 0; i < 100000; ++i) {
-    h.add(rng.uniform());
-  }
-  EXPECT_NEAR(h.quantile(0.5), 0.5, 0.02);
-  EXPECT_NEAR(h.quantile(0.9), 0.9, 0.02);
-  EXPECT_NEAR(h.quantile(0.1), 0.1, 0.02);
-}
-
-TEST(HistogramTest, FarOutOfRangeValuesClampWithoutOverflow) {
-  // The bin index is clamped in the double domain *before* the integer
-  // cast: values whose scaled position exceeds any integer type (and
-  // +-infinity) must land in the edge bins, not invoke UB.
-  Histogram h(0.0, 1.0, 4);
-  h.add(1e300);
-  h.add(-1e300);
-  h.add(std::numeric_limits<double>::infinity());
-  h.add(-std::numeric_limits<double>::infinity());
-  EXPECT_EQ(h.binCount(0), 2u);
-  EXPECT_EQ(h.binCount(3), 2u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(HistogramTest, NanSamplesAreDroppedNotCounted) {
-  Histogram h(0.0, 1.0, 4);
-  h.add(std::numeric_limits<double>::quiet_NaN());
-  EXPECT_EQ(h.total(), 0u);
-  for (std::size_t bin = 0; bin < h.bins(); ++bin) {
-    EXPECT_EQ(h.binCount(bin), 0u);
-  }
-  // Real samples around a dropped NaN keep their quantiles: total_ and
-  // the bin mass must stay consistent.
-  h.add(0.3);
-  h.add(std::numeric_limits<double>::quiet_NaN());
-  h.add(0.3);
-  EXPECT_EQ(h.total(), 2u);
-  EXPECT_NEAR(h.quantile(1.0), 0.5, 1e-12);  // high edge of bin [0.25,0.5)
-}
-
-TEST(HistogramTest, QuantileSkipsEmptyBins) {
-  // Mass only in bins 0 and 5 of [0,10): the boundary between the two
-  // halves of the data falls where bins 1..4 are empty. The quantile
-  // must never report the low edge of an empty bin.
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(0.5);
-  h.add(5.5);
-  h.add(5.5);
-  // q=0.5 -> target 2 = all of bin 0: the high edge of bin 0.
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 1.0);
-  // q=0.75 -> halfway into bin 5, not somewhere in the empty gap.
-  EXPECT_DOUBLE_EQ(h.quantile(0.75), 5.5);
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 6.0);
-}
-
-TEST(HistogramTest, QuantileZeroStartsAtFirstNonEmptyBin) {
-  // Regression: q=0 has target 0, which every prefix (including the
-  // empty one) satisfies -- the old walk returned lo_ even when bin 0
-  // held nothing. It must report where the data starts.
-  Histogram h(0.0, 10.0, 10);
-  h.add(5.5);
-  h.add(6.5);
-  EXPECT_DOUBLE_EQ(h.quantile(0.0), 5.0);
-  // And an entirely empty histogram still reports the range's low edge.
-  const Histogram empty(2.0, 4.0, 4);
-  EXPECT_DOUBLE_EQ(empty.quantile(0.0), 2.0);
-  EXPECT_DOUBLE_EQ(empty.quantile(0.5), 2.0);
-}
-
-TEST(HistogramTest, SparseQuantilesPinned) {
-  // A single-sample histogram: every quantile lives inside the one
-  // occupied bin.
-  Histogram h(0.0, 8.0, 8);
-  h.add(3.2);  // bin 3 = [3,4)
-  for (const double q : {0.0, 0.25, 0.5, 0.99}) {
-    EXPECT_GE(h.quantile(q), 3.0) << "q=" << q;
-    EXPECT_LE(h.quantile(q), 4.0) << "q=" << q;
-  }
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 4.0);
-}
-
-TEST(HistogramTest, RenderContainsCounts) {
-  Histogram h(0.0, 2.0, 2);
-  h.add(0.5);
-  h.add(1.5);
-  h.add(1.6);
-  const std::string text = h.render();
-  EXPECT_NE(text.find("1"), std::string::npos);
-  EXPECT_NE(text.find("2"), std::string::npos);
-}
-
 TEST(SeriesAccumulatorTest, GrowsOnDemand) {
   SeriesAccumulator acc;
   acc.add(5, 1.0);

@@ -45,8 +45,10 @@ TEST(TextTest, NearestNameReturnsEmptyBeyondTheCap) {
   const std::vector<std::string> names = {"threads", "seed"};
   EXPECT_EQ(nearestName("completely-unrelated", names), "");
   EXPECT_EQ(nearestName("x", {}), "");
-  // A generous cap widens the net.
-  EXPECT_EQ(nearestName("thrxxds", names, 7), "threads");
+  // The cap grows with the typed name: a third of its length, 1 to 3.
+  EXPECT_EQ(nearestName("thrxxds", names), "threads");  // 7 chars: 2 edits
+  EXPECT_EQ(nearestName("seed", {"shard"}), "");  // 4 chars: 1 edit, not 3
+  EXPECT_EQ(nearestName("thrxxxs", names), "");   // 3 edits, over the cap
 }
 
 TEST(TextTest, NearestNameTiesGoToTheFirstCandidate) {
