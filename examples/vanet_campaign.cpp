@@ -30,7 +30,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
 #include <iostream>
 
 #include "analysis/table1.h"
@@ -106,16 +105,13 @@ int main(int argc, char** argv) {
   // Every output location must exist before the first job runs: a
   // missing directory found after the campaign would lose its results.
   const std::string dir = flags.getString("csv", "");
-  const auto parentOf = [](const std::string& file) {
-    return std::filesystem::path(file).parent_path().string();
-  };
   try {
     if (!dir.empty()) util::requireOutputDir("--csv", dir);
     if (!run.partialOut.empty()) {
-      util::requireOutputDir("--partial-out", parentOf(run.partialOut));
+      util::requireOutputFile("--partial-out", run.partialOut);
     }
     if (!run.checkpoint.empty()) {
-      util::requireOutputDir("--checkpoint", parentOf(run.checkpoint));
+      util::requireOutputFile("--checkpoint", run.checkpoint);
     }
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << "\n";

@@ -9,10 +9,30 @@
 namespace vanet::channel {
 
 double RayleighFading::sampleDb(Rng& rng) const {
+  double u;
+  drawBatch(rng, &u, 1);
+  return gainFromDraw(u);
+}
+
+double RayleighFading::maxGainDb() const {
+  // Every draw is at least 2^-53 (Rng::uniform has 53 bits), and -ln u
+  // falls by ~0.69 per doubling of u there, so no neighbouring draw comes
+  // within an ulp of this gain; the margin covers the kernels' rounding.
+  constexpr double kMarginDb = 1e-6;
+  return gainFromDraw(0x1.0p-53) + kMarginDb;
+}
+
+void RayleighFading::drawBatch(Rng& rng, double* draws, std::size_t n) const {
   // Power gain is exponential with unit mean; guard against log(0).
-  double u = rng.uniform();
-  while (u <= 0.0) u = rng.uniform();
-  const double power = -vmath::vlog(u);
+  for (std::size_t i = 0; i < n; ++i) {
+    double u = rng.uniform();
+    while (u <= 0.0) u = rng.uniform();
+    draws[i] = u;
+  }
+}
+
+double RayleighFading::gainFromDraw(double draw) const {
+  const double power = -vmath::vlog(draw);
   return vmath::vlinear2db(power);
 }
 
@@ -78,12 +98,13 @@ double RicianFading::sampleDb(Rng& rng) const {
 
 void RayleighFading::sampleDbBatch(Rng& rng, double* out,
                                    std::size_t n) const {
-  for (std::size_t i = 0; i < n; ++i) {
-    double u = rng.uniform();
-    while (u <= 0.0) u = rng.uniform();
-    out[i] = u;
-  }
-  vmath::vlog(out, out, n);
+  drawBatch(rng, out, n);
+  gainFromDrawBatch(out, out, n);
+}
+
+void RayleighFading::gainFromDrawBatch(const double* draws, double* out,
+                                       std::size_t n) const {
+  vmath::vlog(draws, out, n);
   for (std::size_t i = 0; i < n; ++i) out[i] = -out[i];
   vmath::vlinear2db(out, out, n);
 }

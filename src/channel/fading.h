@@ -6,6 +6,7 @@
 /// frames, reasonable at vehicular speeds where frames are ~10 ms apart).
 
 #include <cstddef>
+#include <limits>
 
 #include "util/rng.h"
 
@@ -25,6 +26,29 @@ class FadingModel {
   virtual void sampleDbBatch(Rng& rng, double* out, std::size_t n) const {
     for (std::size_t i = 0; i < n; ++i) out[i] = sampleDb(rng);
   }
+
+  /// An upper bound on every gain this model returns (sampleDb,
+  /// sampleDbBatch, gainFromDraw), as computed, not as a mathematical
+  /// limit. +inf means no useful bound: the link model then never defers
+  /// a receiver's fade.
+  virtual double maxGainDb() const {
+    return std::numeric_limits<double>::infinity();
+  }
+
+  /// The draw half of sampleDbBatch: consumes `rng` exactly as
+  /// sampleDbBatch does and keeps one raw draw per receiver, so the
+  /// transform can run later, or never, for receivers that cannot decode.
+  /// gainFromDraw maps a draw to the gain sampleDbBatch would have
+  /// returned, bit for bit. Base implementation: the draw is the gain.
+  virtual void drawBatch(Rng& rng, double* draws, std::size_t n) const {
+    sampleDbBatch(rng, draws, n);
+  }
+  virtual double gainFromDraw(double draw) const { return draw; }
+  /// Batched gainFromDraw; `out` may alias `draws`.
+  virtual void gainFromDrawBatch(const double* draws, double* out,
+                                 std::size_t n) const {
+    for (std::size_t i = 0; i < n; ++i) out[i] = gainFromDraw(draws[i]);
+  }
 };
 
 /// No fading: always 0 dB.
@@ -34,13 +58,22 @@ class NoFading final : public FadingModel {
   void sampleDbBatch(Rng&, double* out, std::size_t n) const override {
     for (std::size_t i = 0; i < n; ++i) out[i] = 0.0;
   }
+  double maxGainDb() const override { return 0.0; }
 };
 
-/// Rayleigh fading: power gain ~ Exp(1) (unit mean).
+/// Rayleigh fading: power gain ~ Exp(1) (unit mean). A draw is the
+/// uniform u in (0, 1); its gain is 10 log10(-ln u).
 class RayleighFading final : public FadingModel {
  public:
   double sampleDb(Rng& rng) const override;
   void sampleDbBatch(Rng& rng, double* out, std::size_t n) const override;
+  /// The gain of the smallest positive uniform, 2^-53 (about +15.65 dB),
+  /// plus a margin that absorbs any last-ulp non-monotonicity of vlog.
+  double maxGainDb() const override;
+  void drawBatch(Rng& rng, double* draws, std::size_t n) const override;
+  double gainFromDraw(double draw) const override;
+  void gainFromDrawBatch(const double* draws, double* out,
+                         std::size_t n) const override;
 };
 
 /// Rician fading with K-factor (ratio of line-of-sight to scattered power).

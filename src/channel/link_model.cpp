@@ -49,6 +49,7 @@ CompositeLinkModel::CompositeLinkModel(
   VANET_ASSERT(carToCarPathLoss_ != nullptr, "c2c path-loss model required");
   VANET_ASSERT(shadowing_ != nullptr, "shadowing provider required");
   VANET_ASSERT(fading_ != nullptr, "fading model required");
+  fadingMaxGainDb_ = fading_->maxGainDb();
 }
 
 void CompositeLinkModel::enableBurstOverlay(GilbertElliottParams params, Rng rng) {
@@ -77,21 +78,11 @@ double CompositeLinkModel::successProbability(PhyMode mode, double sinrDb,
   return frameSuccessProbability(mode, sinrDb, bits);
 }
 
-void CompositeLinkModel::planBatch(NodeId tx, geom::Vec2 txPos,
-                                   double txPowerDbm, LinkBatch& batch,
-                                   Rng& rng) {
-  const std::size_t n = batch.size();
-  if (n == 0) return;  // no receivers: no draws on any stream
-  const NodeId* rxIds = batch.rxIds();
-  const double* rxX = batch.rxX();
-  const double* rxY = batch.rxY();
-  double* dist = batch.distance();
-  double* loss = batch.lossDb();
-  double* shadow = batch.shadowDb();
-  double* fade = batch.fadeDb();
-  double* mean = batch.meanDbm();
-  double* faded = batch.fadedDbm();
-
+void CompositeLinkModel::planMeans(NodeId tx, geom::Vec2 txPos,
+                                   double txPowerDbm, const NodeId* rxIds,
+                                   const double* rxX, const double* rxY,
+                                   std::size_t n, double* dist, double* loss,
+                                   double* shadow, double* mean) {
   // Stage 1: distances through geom::distance (sqrt of squares), the same
   // expression the scalar path evaluates -- bit-identical and free to
   // auto-vectorize.
@@ -119,12 +110,68 @@ void CompositeLinkModel::planBatch(NodeId tx, geom::Vec2 txPos,
   for (std::size_t i = 0; i < n; ++i) {
     mean[i] = txPowerDbm - loss[i] + shadow[i];
   }
+}
 
-  // Stage 5: fading draws in receiver order on the caller's stream, then
+void CompositeLinkModel::planBatch(NodeId tx, geom::Vec2 txPos,
+                                   double txPowerDbm, LinkBatch& batch,
+                                   Rng& rng) {
+  const std::size_t n = batch.size();
+  if (n == 0) return;  // no receivers: no draws on any stream
+  double* mean = batch.meanDbm();
+  double* fade = batch.fadeDb();
+
+  // Stages 1-4 for the receivers whose mean is not known. A known mean
+  // belongs to a link planned before, so its pair constant is drawn and
+  // skipping it moves no stream; the others keep their receiver order.
+  // The compacted means land in the fade scratch, free until stage 5.
+  if (batch.knownMeanCount() == 0) {
+    planMeans(tx, txPos, txPowerDbm, batch.rxIds(), batch.rxX(), batch.rxY(),
+              n, batch.distance(), batch.lossDb(), batch.shadowDb(), mean);
+  } else if (batch.knownMeanCount() < n) {
+    subIdx_.clear();
+    subIds_.clear();
+    subX_.clear();
+    subY_.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      if (batch.meanKnown(i)) continue;
+      subIdx_.push_back(static_cast<std::uint32_t>(i));
+      subIds_.push_back(batch.rxIds()[i]);
+      subX_.push_back(batch.rxX()[i]);
+      subY_.push_back(batch.rxY()[i]);
+    }
+    const std::size_t m = subIdx_.size();
+    planMeans(tx, txPos, txPowerDbm, subIds_.data(), subX_.data(),
+              subY_.data(), m, batch.distance(), batch.lossDb(),
+              batch.shadowDb(), fade);
+    for (std::size_t k = 0; k < m; ++k) mean[subIdx_[k]] = fade[k];
+  }
+
+  // Stage 5: every fading draw, in receiver order on the caller's stream.
+  // A receiver whose mean plus the largest gain stays below sensitivity
+  // cannot decode whatever it drew: it keeps the raw draw (deferred) and
+  // skips the transform. Floating-point addition is monotone, so
+  // mean + gain <= mean + maxGain < sensitivity holds for the gain it
+  // would have got. The others are transformed together and get
   // faded = mean + fade as in the scalar composition.
-  fading_->sampleDbBatch(rng, fade, n);
+  double* draw = batch.fadeDraw();
+  fading_->drawBatch(rng, draw, n);
+  batch.setFading(fading_.get());
+  std::uint8_t* deferred = batch.deferred();
+  subIdx_.clear();
   for (std::size_t i = 0; i < n; ++i) {
-    faded[i] = mean[i] + fade[i];
+    if (mean[i] + fadingMaxGainDb_ < budget_.sensitivityDbm) {
+      deferred[i] = 1;
+    } else {
+      fade[subIdx_.size()] = draw[i];
+      subIdx_.push_back(static_cast<std::uint32_t>(i));
+    }
+  }
+  const std::size_t live = subIdx_.size();
+  fading_->gainFromDrawBatch(fade, fade, live);
+  double* faded = batch.fadedDbm();
+  for (std::size_t k = 0; k < live; ++k) {
+    const std::uint32_t i = subIdx_[k];
+    faded[i] = mean[i] + fade[k];
   }
 }
 

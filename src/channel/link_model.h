@@ -6,9 +6,11 @@
 /// receiver thresholds the radio environment needs (sensitivity, carrier
 /// sense, capture).
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "channel/error_model.h"
 #include "channel/fading.h"
@@ -56,7 +58,16 @@ class LinkModel {
   /// Concrete models may override with staged struct-of-arrays passes, but
   /// must produce bit-identical outputs and identical positions on every
   /// RNG stream (the reference-equivalence tests assert this).
-  /// `batch.prepare()` must have been called.
+  ///
+  /// Contract on known means (LinkBatch::setKnownMean): once a link's
+  /// random constants are drawn (shadowing pair constants, at the link's
+  /// first plan), its mean is a pure function of the two ids, the two
+  /// positions and the tx power. A caller may therefore hand in the mean
+  /// an earlier plan of the same link produced, and an implementation may
+  /// keep it or recompute it; the base implementation recomputes it.
+  /// An override may also defer a receiver's fade (LinkBatch::deferred)
+  /// when no gain of its fading model can lift the mean to sensitivity;
+  /// the fade is still drawn, in receiver order.
   virtual void planBatch(NodeId tx, geom::Vec2 txPos, double txPowerDbm,
                          LinkBatch& batch, Rng& rng);
 
@@ -101,8 +112,10 @@ class CompositeLinkModel final : public LinkModel {
   double successProbability(PhyMode mode, double sinrDb, int bits) const override;
 
   /// Staged struct-of-arrays pass: distances, path loss (infra/c2c split),
-  /// shadowing, mean power, fading. Bit-identical to the scalar reference
-  /// (see LinkModel::planBatch): every arithmetic expression matches the
+  /// shadowing, mean power (for receivers without a known mean), then
+  /// every fading draw and the transform of the receivers that could
+  /// decode. Bit-identical to the scalar reference (see
+  /// LinkModel::planBatch): every arithmetic expression matches the
   /// scalar composition term for term, and each RNG stream is consumed in
   /// receiver order within its stage.
   void planBatch(NodeId tx, geom::Vec2 txPos, double txPowerDbm,
@@ -114,10 +127,18 @@ class CompositeLinkModel final : public LinkModel {
   const LinkBudget& budget() const override { return budget_; }
 
  private:
+  /// Stages 1-4 (distance, path loss, shadowing, mean) over `n`
+  /// receivers in struct-of-arrays form; dist/loss/shadow are scratch.
+  void planMeans(NodeId tx, geom::Vec2 txPos, double txPowerDbm,
+                 const NodeId* rxIds, const double* rxX, const double* rxY,
+                 std::size_t n, double* dist, double* loss, double* shadow,
+                 double* mean);
+
   std::unique_ptr<PathLossModel> infraPathLoss_;
   std::unique_ptr<PathLossModel> carToCarPathLoss_;
   std::unique_ptr<ShadowingProvider> shadowing_;
   std::unique_ptr<FadingModel> fading_;
+  double fadingMaxGainDb_ = 0.0;  ///< fading_->maxGainDb(), read once
   LinkBudget budget_;
   std::optional<GilbertElliottParams> burstParams_;
   std::optional<Rng> burstRng_;
@@ -125,6 +146,11 @@ class CompositeLinkModel final : public LinkModel {
   // on survivors sits on the hot path and the old std::map paid a pointer
   // chase per tree level.
   util::FlatMap64<GilbertElliott> burstChains_;
+  // planBatch scratch: receiver indices and gathered inputs of a subset
+  // (unknown means, decodable fades), kept for their capacity.
+  std::vector<std::uint32_t> subIdx_;
+  std::vector<NodeId> subIds_;
+  std::vector<double> subX_, subY_;
 };
 
 }  // namespace vanet::channel

@@ -48,6 +48,8 @@ class Radio {
 
   NodeId id() const noexcept { return id_; }
   geom::Vec2 position() const { return mobility_->positionAt(sim_.now()); }
+  /// True when the radio never moves (see MobilityModel::isStatic).
+  bool isStatic() const { return mobility_->isStatic(); }
   double txPowerDbm() const noexcept { return config_.txPowerDbm; }
 
   /// True while a transmission of this radio occupies the medium.

@@ -14,9 +14,16 @@
 /// small buffer, so steady-state transmission churn never allocates); and
 /// each radio carries a dense environment slot so plan lookups during
 /// carrier sense / interference accumulation are O(1) array reads.
+///
+/// Receivers that cannot hear are cheap: a link between two static radios
+/// is planned once and its mean reused, a receiver the link model
+/// deferred (no fade can lift it to sensitivity) gets its faded power
+/// only when an interference sum reads it, and a delivery builds its
+/// overlap set only once some receiver passes the gates.
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "channel/link_batch.h"
@@ -101,7 +108,9 @@ class RadioEnvironment {
   struct PlannedRx {
     Radio* rx = nullptr;
     double meanDbm = 0.0;   // without fading: carrier sense, interference base
-    double fadedDbm = 0.0;  // per-frame fading applied
+    double fadedDbm = 0.0;  // per-frame fading applied; unset while deferred
+    double fadeDraw = 0.0;  // the raw fading draw of a deferred receiver
+    bool deferred = false;  // below sensitivity; fadedDbm not computed yet
   };
   /// One in-flight (or recently finished) transmission. Pooled: acquired
   /// in beginTransmission, recycled when it ages out of the overlap
@@ -113,26 +122,42 @@ class RadioEnvironment {
     channel::PhyMode mode{};
     sim::SimTime start{};
     sim::SimTime end{};
+    /// Maps a deferred receiver's draw to its gain.
+    const channel::FadingModel* fading = nullptr;
     std::vector<PlannedRx> plans;  ///< receiver order (= attach order)
     /// Env slot -> index into `plans`, -1 when the slot's radio is the
     /// source or detached. Sized to the radio count at planning time.
     std::vector<std::int32_t> planBySlot;
 
     const PlannedRx* planFor(const Radio* rx) const;
+    PlannedRx* planFor(const Radio* rx);
+    /// The plan's faded power, computed and kept on first read when the
+    /// plan was deferred.
+    double fadedDbm(PlannedRx& plan);
     void rebuildSlotIndex(std::size_t slotCount);
   };
 
   ActiveTx* acquireTx();
   void deliver(ActiveTx* tx);
-  double interferenceDbmAt(const Radio* rx, const ActiveTx& target) const;
-  /// Same accumulation over the per-delivery hoisted overlap_ set.
-  double interferenceDbmFromOverlap(const Radio* rx) const;
+  /// Fills overlap_ with the transmissions overlapping `tx` in time,
+  /// active_ first, then recent_.
+  void collectOverlap(const ActiveTx& tx);
+  /// Interference at `rx` summed over overlap_, in overlap_ order.
+  double interferenceDbmFromOverlap(const Radio* rx);
   void pruneRecent();
+  /// Forgets every static-link mean (the slot numbering changed).
+  void resetStaticMeans();
 
   sim::Simulator& sim_;
   channel::LinkModel& link_;
   Rng rng_;
   std::vector<Radio*> radios_;
+  /// Per env slot: the position of a radio that never moves
+  /// (Radio::isStatic, read at attach); nullopt for a moving radio.
+  std::vector<std::optional<geom::Vec2>> staticPos_;
+  /// slots x slots mean rx power of links between two static radios,
+  /// [tx slot * slots + rx slot], NaN until the link is first planned.
+  std::vector<double> staticMeanDbm_;
   channel::LinkBatch batch_;             ///< per-transmission SoA scratch
   std::vector<std::unique_ptr<ActiveTx>> pool_;  ///< owns every ActiveTx
   std::vector<ActiveTx*> freeTx_;        ///< recycled records

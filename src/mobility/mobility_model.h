@@ -20,6 +20,10 @@ class MobilityModel {
 
   /// Instantaneous speed in m/s at time `t` (0 outside the motion window).
   virtual double speedAt(sim::SimTime t) const = 0;
+
+  /// True when positionAt returns the same point at every time. The radio
+  /// environment plans a link between two static radios once per run.
+  virtual bool isStatic() const { return false; }
 };
 
 /// A node that never moves (access points, parked cars).
@@ -29,6 +33,7 @@ class StaticMobility final : public MobilityModel {
 
   geom::Vec2 positionAt(sim::SimTime) const override { return position_; }
   double speedAt(sim::SimTime) const override { return 0.0; }
+  bool isStatic() const override { return true; }
 
  private:
   geom::Vec2 position_;

@@ -195,7 +195,7 @@ Slab& threadSlab() {
 
 namespace detail {
 
-thread_local ThreadCells tCells;
+constinit thread_local ThreadCells tCells;
 
 ThreadCells& initThreadCells() {
   Slab& slab = threadSlab();

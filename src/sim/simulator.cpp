@@ -100,9 +100,8 @@ bool Simulator::popNextLive(Entry& out) {
   return false;
 }
 
-bool Simulator::step() {
-  Entry entry;
-  if (!popNextLive(entry)) return false;
+void Simulator::dispatch(const Entry& entry) {
+  // `entry` is the live top popNextLive just returned.
   std::pop_heap(queue_.begin(), queue_.end(), EntryLater{});
   queue_.pop_back();
   const std::size_t slot = slotOf(entry.id);
@@ -114,23 +113,36 @@ bool Simulator::step() {
   VANET_ASSERT(entry.at >= now_, "event queue must be monotone");
   now_ = entry.at;
   ++executed_;
-  OBS_COUNT("sim.events_dispatched");
   fn();
+}
+
+void Simulator::countDispatched() {
+  OBS_COUNT_N("sim.events_dispatched", executed_ - counted_);
+  counted_ = executed_;
+}
+
+bool Simulator::step() {
+  Entry entry;
+  if (!popNextLive(entry)) return false;
+  dispatch(entry);
+  countDispatched();
   return true;
 }
 
 void Simulator::run() {
   stopped_ = false;
-  while (!stopped_ && step()) {
-  }
+  Entry entry;
+  while (!stopped_ && popNextLive(entry)) dispatch(entry);
+  countDispatched();
 }
 
 void Simulator::runUntil(SimTime until) {
   stopped_ = false;
   Entry entry;
   while (!stopped_ && popNextLive(entry) && entry.at <= until) {
-    step();
+    dispatch(entry);
   }
+  countDispatched();
   if (!stopped_ && now_ < until) {
     now_ = until;
   }

@@ -118,6 +118,16 @@ class Simulator {
   // Pops queue entries whose handler was cancelled; returns false when empty.
   bool popNextLive(Entry& out);
 
+  // Pops the live top entry `entry` (as popNextLive returned it) and runs
+  // its handler.
+  void dispatch(const Entry& entry);
+
+  // Adds the events dispatched since the last call to the
+  // sim.events_dispatched counter: once per run()/runUntil()/step() call
+  // instead of one atomic add per event. Nested calls from a handler
+  // count each event once.
+  void countDispatched();
+
   // Drops every cancelled entry and re-heapifies when the dead entries
   // dominate the queue. Amortised O(1) per cancel.
   void maybeCompact();
@@ -130,6 +140,7 @@ class Simulator {
   bool stopped_ = false;
   std::uint64_t nextSeq_ = 0;
   std::uint64_t executed_ = 0;
+  std::uint64_t counted_ = 0;  // executed_ at the last countDispatched()
   // Binary min-heap (std::push_heap/pop_heap with EntryLater) instead of
   // std::priority_queue: compaction needs access to the container.
   std::vector<Entry> queue_;

@@ -74,4 +74,14 @@ void requireOutputDir(const std::string& flag, const std::string& dir) {
   }
 }
 
+void requireOutputFile(const std::string& flag, const std::string& path) {
+  namespace fs = std::filesystem;
+  requireOutputDir(flag, fs::path(path).parent_path().string());
+  std::error_code error;
+  if (fs::is_directory(path, error)) {
+    throw std::runtime_error(flag + ": output path '" + path +
+                             "' is a directory, not a file");
+  }
+}
+
 }  // namespace vanet::util

@@ -39,4 +39,9 @@ std::string readFile(const std::string& path);
 /// the working directory) is an existing directory.
 void requireOutputDir(const std::string& flag, const std::string& dir);
 
+/// The same for an output file: throws std::runtime_error naming `flag`
+/// and the path unless the path's parent directory exists (see
+/// requireOutputDir) and the path itself is not a directory.
+void requireOutputFile(const std::string& flag, const std::string& path);
+
 }  // namespace vanet::util

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <limits>
+#include <vector>
 
 #include "util/stats.h"
 
@@ -125,6 +128,70 @@ TEST(NakagamiTest, SubRayleighIsHarsherThanRayleigh) {
     if (rayleigh.sampleDb(rng) < -10.0) ++rayleighDeep;
   }
   EXPECT_GT(harshDeep, rayleighDeep);
+}
+
+TEST(FadingMaxGainTest, NoFadingIsZeroRicianAndNakagamiAreUnbounded) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(NoFading{}.maxGainDb(), 0.0);
+  EXPECT_EQ(RicianFading{5.0}.maxGainDb(), kInf);
+  EXPECT_EQ(NakagamiFading{3.0}.maxGainDb(), kInf);
+}
+
+TEST(FadingMaxGainTest, RayleighBoundsTheSmallestUniforms) {
+  // The largest gains come from the smallest draws: the 2^20 smallest
+  // positive uniforms, through the scalar and the batched transform.
+  const RayleighFading model;
+  const double bound = model.maxGainDb();
+  EXPECT_NEAR(bound, 15.65, 0.01);
+  constexpr std::size_t kCount = std::size_t{1} << 20;
+  std::vector<double> draws(kCount);
+  for (std::size_t k = 0; k < kCount; ++k) {
+    draws[k] = static_cast<double>(k + 1) * 0x1.0p-53;
+  }
+  std::vector<double> gains(kCount);
+  model.gainFromDrawBatch(draws.data(), gains.data(), kCount);
+  for (std::size_t k = 0; k < kCount; ++k) {
+    ASSERT_LE(model.gainFromDraw(draws[k]), bound) << draws[k];
+    ASSERT_LE(gains[k], bound) << draws[k];
+  }
+}
+
+TEST(FadingMaxGainTest, RayleighBoundsRandomDraws) {
+  const RayleighFading model;
+  const double bound = model.maxGainDb();
+  Rng rng{12};
+  std::vector<double> gains(1'000'000);
+  model.sampleDbBatch(rng, gains.data(), gains.size());
+  for (const double gain : gains) ASSERT_LE(gain, bound);
+  for (int i = 0; i < 100'000; ++i) ASSERT_LE(model.sampleDb(rng), bound);
+}
+
+/// drawBatch then gainFromDrawBatch (or gainFromDraw per draw) must equal
+/// sampleDbBatch bit for bit and leave the stream at the same position.
+void expectDrawThenTransformMatchesSample(const FadingModel& model) {
+  Rng sampled{13};
+  Rng drawn{13};
+  for (const std::size_t n : {0, 1, 3, 8, 11, 64}) {
+    std::vector<double> expected(n);
+    std::vector<double> draws(n);
+    std::vector<double> gains(n);
+    model.sampleDbBatch(sampled, expected.data(), n);
+    model.drawBatch(drawn, draws.data(), n);
+    model.gainFromDrawBatch(draws.data(), gains.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(gains[i], expected[i]) << "receiver " << i << " of " << n;
+      EXPECT_EQ(model.gainFromDraw(draws[i]), expected[i]);
+    }
+  }
+  EXPECT_EQ(sampled.normal(), drawn.normal());
+  EXPECT_EQ(sampled.next(), drawn.next());
+}
+
+TEST(FadingDrawTest, DrawThenTransformEqualsSampleDbBatch) {
+  expectDrawThenTransformMatchesSample(RayleighFading{});
+  expectDrawThenTransformMatchesSample(NoFading{});
+  expectDrawThenTransformMatchesSample(RicianFading{5.0});
+  expectDrawThenTransformMatchesSample(NakagamiFading{3.0});
 }
 
 TEST(NakagamiDeathTest, RejectsTooSmallM) {

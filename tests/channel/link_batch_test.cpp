@@ -13,9 +13,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <vector>
 
+#include "../testing/scalar_reference_link.h"
 #include "channel/link_model.h"
 #include "geom/polyline.h"
 
@@ -25,33 +28,11 @@ namespace {
 constexpr NodeId kAp0 = kFirstApId;
 constexpr NodeId kAp1 = kFirstApId + 1;
 
-/// Forwards every scalar virtual to a wrapped model while inheriting the
-/// base-class planBatch / successProbabilityBatch loops -- the scalar
-/// per-receiver reference path.
-class ScalarReference final : public LinkModel {
- public:
-  explicit ScalarReference(LinkModel& inner) : inner_(inner) {}
+using vanet::testing::ScalarReferenceLink;
 
-  double meanRxPowerDbm(NodeId tx, geom::Vec2 txPos, double txPowerDbm,
-                        NodeId rx, geom::Vec2 rxPos) override {
-    return inner_.meanRxPowerDbm(tx, txPos, txPowerDbm, rx, rxPos);
-  }
-  double fadedRxPowerDbm(double meanDbm, Rng& rng) override {
-    return inner_.fadedRxPowerDbm(meanDbm, rng);
-  }
-  double successProbability(PhyMode mode, double sinrDb,
-                            int bits) const override {
-    return inner_.successProbability(mode, sinrDb, bits);
-  }
-  bool burstLoss(NodeId tx, NodeId rx, sim::SimTime now,
-                 int frameClass) override {
-    return inner_.burstLoss(tx, rx, now, frameClass);
-  }
-  const LinkBudget& budget() const override { return inner_.budget(); }
-
- private:
-  LinkModel& inner_;
-};
+/// The fading of a Stack: urban stacks default to Rayleigh, highway ones
+/// to Nakagami m = 3.
+enum class Fade { kDefault, kRician, kRayleigh };
 
 /// One full model stack; two instances built with the same seeds produce
 /// identical streams, so one can run the scalar reference and the other
@@ -61,9 +42,11 @@ struct Stack {
   std::unique_ptr<CompositeLinkModel> model;
   Rng envRng;
 
-  Stack(bool urban, bool burst, std::uint64_t seed, bool rician = false)
+  Stack(bool urban, bool burst, std::uint64_t seed, Fade fade = Fade::kDefault,
+        double roadLength = 3000.0, double infraExponent = 3.0,
+        double infraRefLossDb = 55.0)
       : road(urban ? geom::makeRectangleLoop(200.0, 150.0)
-                   : geom::Polyline({{0.0, 0.0}, {3000.0, 0.0}})),
+                   : geom::Polyline({{0.0, 0.0}, {roadLength, 0.0}})),
         envRng(seed + 17) {
     ShadowingParams shadowParams;
     std::unique_ptr<ShadowingProvider> shadowing =
@@ -76,15 +59,15 @@ struct Stack {
           });
     }
     std::unique_ptr<FadingModel> fading;
-    if (rician) {
+    if (fade == Fade::kRician) {
       fading = std::make_unique<RicianFading>(5.0);  // batched Box-Muller
-    } else if (urban) {
+    } else if (fade == Fade::kRayleigh || urban) {
       fading = std::make_unique<RayleighFading>();
     } else {
       fading = std::make_unique<NakagamiFading>(3.0);  // draws normals
     }
     model = std::make_unique<CompositeLinkModel>(
-        std::make_unique<LogDistancePathLoss>(3.0, 55.0),
+        std::make_unique<LogDistancePathLoss>(infraExponent, infraRefLossDb),
         std::make_unique<LogDistancePathLoss>(2.4, 40.0), std::move(shadowing),
         std::move(fading), LinkBudget{});
     if (burst) {
@@ -103,30 +86,66 @@ struct Receiver {
   geom::Vec2 pos;
 };
 
-void fillBatch(LinkBatch& batch, const std::vector<Receiver>& receivers) {
-  batch.clear();
-  for (const Receiver& rx : receivers) batch.add(rx.id, rx.pos);
-  batch.prepare();
+constexpr double kUnknown = std::numeric_limits<double>::quiet_NaN();
+
+/// Gathers `receivers`; a non-NaN entry of `knownMeans` is handed in as
+/// that receiver's known mean.
+void fillBatch(LinkBatch& batch, const std::vector<Receiver>& receivers,
+               const std::vector<double>& knownMeans = {}) {
+  batch.resize(receivers.size());
+  for (std::size_t i = 0; i < receivers.size(); ++i) {
+    batch.setReceiver(i, receivers[i].id, receivers[i].pos);
+    if (i < knownMeans.size() && !std::isnan(knownMeans[i])) {
+      batch.setKnownMean(i, knownMeans[i]);
+    }
+  }
 }
 
+/// Receiver i's faded power; a deferred one is computed from its draw,
+/// as the radio environment does when an interference sum reads it.
+double resolvedFadedDbm(const LinkBatch& batch, std::size_t i) {
+  return batch.deferred()[i] != 0
+             ? batch.meanDbm()[i] + batch.fading()->gainFromDraw(
+                                        batch.fadeDraw()[i])
+             : batch.fadedDbm()[i];
+}
+
+struct BatchedPlan {
+  std::vector<double> meanDbm;
+  std::size_t deferred = 0;
+};
+
 /// Runs one transmission through both paths and asserts bit-identity of
-/// the planned mean/faded powers.
-void expectBatchMatchesScalar(Stack& scalarStack, Stack& batchedStack,
-                              NodeId tx, geom::Vec2 txPos,
-                              const std::vector<Receiver>& receivers) {
-  ScalarReference reference(*scalarStack.model);
+/// the planned mean/faded powers. The scalar reference never defers and
+/// recomputes known means; a receiver the batched path deferred is
+/// resolved from its draw, so every receiver is compared.
+BatchedPlan expectBatchMatchesScalar(Stack& scalarStack, Stack& batchedStack,
+                                     NodeId tx, geom::Vec2 txPos,
+                                     const std::vector<Receiver>& receivers,
+                                     const std::vector<double>& knownMeans =
+                                         {}) {
+  ScalarReferenceLink reference(*scalarStack.model);
   LinkBatch scalarBatch, batchedBatch;
-  fillBatch(scalarBatch, receivers);
-  fillBatch(batchedBatch, receivers);
+  fillBatch(scalarBatch, receivers, knownMeans);
+  fillBatch(batchedBatch, receivers, knownMeans);
   reference.planBatch(tx, txPos, 16.0, scalarBatch, scalarStack.envRng);
   batchedStack.model->planBatch(tx, txPos, 16.0, batchedBatch,
                                 batchedStack.envRng);
+  BatchedPlan plan;
   for (std::size_t i = 0; i < receivers.size(); ++i) {
+    EXPECT_EQ(scalarBatch.deferred()[i], 0) << "the reference never defers";
     EXPECT_EQ(scalarBatch.meanDbm()[i], batchedBatch.meanDbm()[i])
         << "mean mismatch at receiver " << receivers[i].id;
-    EXPECT_EQ(scalarBatch.fadedDbm()[i], batchedBatch.fadedDbm()[i])
+    EXPECT_EQ(scalarBatch.fadedDbm()[i], resolvedFadedDbm(batchedBatch, i))
         << "faded mismatch at receiver " << receivers[i].id;
+    if (batchedBatch.deferred()[i] != 0) {
+      // Deferral is exact: the receiver is below sensitivity.
+      EXPECT_LT(resolvedFadedDbm(batchedBatch, i), LinkBudget{}.sensitivityDbm);
+      ++plan.deferred;
+    }
+    plan.meanDbm.push_back(batchedBatch.meanDbm()[i]);
   }
+  return plan;
 }
 
 /// Asserts both environment streams sit at the same position, including
@@ -160,10 +179,96 @@ TEST(LinkBatchEquivalenceTest, UrbanConfigMatchesScalarReference) {
   expectSameRngPosition(scalar.envRng, batched.envRng);
 }
 
+TEST(LinkBatchEquivalenceTest, RayleighHighwayWithEightApsMatchesScalarReference) {
+  // The infostation highway: 8 APs 700 m apart (highway channel: 52 dB
+  // reference loss, exponent 2.6) and a platoon near the third AP. Most
+  // AP<->AP links and the far AP<->car links cannot reach sensitivity
+  // even at the largest Rayleigh gain, so they are deferred; the adjacent
+  // APs and the near links are not.
+  constexpr double kSpacing = 700.0;
+  Stack scalar(/*urban=*/false, /*burst=*/false, 29, Fade::kRayleigh,
+               /*roadLength=*/8 * kSpacing, 2.6, 52.0);
+  Stack batched(/*urban=*/false, /*burst=*/false, 29, Fade::kRayleigh,
+                /*roadLength=*/8 * kSpacing, 2.6, 52.0);
+  const auto apPos = [&](int a) {
+    return geom::Vec2{500.0 + a * kSpacing, 10.0};
+  };
+  const std::vector<Receiver> cars = {
+      {1, {1850.0, 0.0}}, {2, {1830.0, 0.0}}, {3, {1810.0, 0.0}}};
+  // Receivers of AP a: the other APs in attach order, then the cars.
+  const auto apReceivers = [&](int a) {
+    std::vector<Receiver> receivers;
+    for (int b = 0; b < 8; ++b) {
+      if (b != a) receivers.push_back({kAp0 + b, apPos(b)});
+    }
+    receivers.insert(receivers.end(), cars.begin(), cars.end());
+    return receivers;
+  };
+
+  std::size_t deferred = 0;
+  std::size_t planned = 0;
+  for (int a = 0; a < 8; ++a) {
+    // First plan of every AP<->AP link: pair constants drawn in receiver
+    // order on the shadowing stream.
+    const BatchedPlan first =
+        expectBatchMatchesScalar(scalar, batched, kAp0 + a, apPos(a),
+                                 apReceivers(a));
+    // Again with the AP<->AP means known, as the radio environment hands
+    // them in for two static radios: the batched path skips them, the
+    // reference recomputes them, and both agree bit for bit.
+    std::vector<double> known(first.meanDbm.begin(),
+                              first.meanDbm.begin() + 7);
+    known.resize(first.meanDbm.size(), kUnknown);
+    const BatchedPlan second = expectBatchMatchesScalar(
+        scalar, batched, kAp0 + a, apPos(a), apReceivers(a), known);
+    deferred += first.deferred + second.deferred;
+    planned += 2 * first.meanDbm.size();
+  }
+  // A car transmitter: every AP reads the field at the car's arc.
+  std::vector<Receiver> carReceivers;
+  for (int b = 0; b < 8; ++b) carReceivers.push_back({kAp0 + b, apPos(b)});
+  carReceivers.push_back(cars[1]);
+  carReceivers.push_back(cars[2]);
+  const BatchedPlan fromCar =
+      expectBatchMatchesScalar(scalar, batched, 1, cars[0].pos, carReceivers);
+  deferred += fromCar.deferred;
+  planned += fromCar.meanDbm.size();
+
+  EXPECT_GT(deferred, planned / 2) << "most links are hopeless";
+  EXPECT_LT(deferred, planned) << "some links are decodable";
+  expectSameRngPosition(scalar.envRng, batched.envRng);
+  // The shadowing streams too: a known mean drew no pair constant.
+  expectBatchMatchesScalar(scalar, batched, 2, cars[1].pos,
+                           {{4, {1790.0, 0.0}}, {5, {1770.0, 0.0}}});
+}
+
+TEST(LinkBatchEquivalenceTest, DefersExactlyTheReceiversNoFadeCanLift) {
+  // Receivers every 5 m out to 3 km sweep the mean across the deferral
+  // boundary: a receiver is deferred iff mean + maxGain < sensitivity.
+  Stack batched(/*urban=*/false, /*burst=*/false, 61, Fade::kRayleigh);
+  const double maxGainDb = RayleighFading{}.maxGainDb();
+  const double sensitivityDbm = LinkBudget{}.sensitivityDbm;
+  LinkBatch batch;
+  batch.resize(600);
+  for (std::size_t i = 0; i < 600; ++i) {
+    batch.setReceiver(i, kAp0 + static_cast<NodeId>(i),
+                      {5.0 * static_cast<double>(i + 1), 0.0});
+  }
+  batched.model->planBatch(1, {0.0, 0.0}, 16.0, batch, batched.envRng);
+  std::size_t deferred = 0;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const bool hopeless = batch.meanDbm()[i] + maxGainDb < sensitivityDbm;
+    EXPECT_EQ(batch.deferred()[i] != 0, hopeless) << batch.meanDbm()[i];
+    deferred += hopeless ? 1 : 0;
+  }
+  EXPECT_GT(deferred, 0u);
+  EXPECT_LT(deferred, batch.size());
+}
+
 TEST(LinkBatchEquivalenceTest, HighwayConfigWithBurstMatchesScalarReference) {
   Stack scalar(/*urban=*/false, /*burst=*/true, 77);
   Stack batched(/*urban=*/false, /*burst=*/true, 77);
-  ScalarReference reference(*scalar.model);
+  ScalarReferenceLink reference(*scalar.model);
 
   const std::vector<Receiver> receivers = {{2, {250.0, 0.0}},
                                            {kAp0, {500.0, 10.0}},
@@ -208,8 +313,8 @@ TEST(LinkBatchEquivalenceTest, RicianConfigMatchesScalarReference) {
   // Rician fading consumes two normals per receiver; the batched path
   // draws the uniforms per receiver and runs the Box-Muller transform
   // through the batched vmath kernel.
-  Stack scalar(/*urban=*/false, /*burst=*/false, 55, /*rician=*/true);
-  Stack batched(/*urban=*/false, /*burst=*/false, 55, /*rician=*/true);
+  Stack scalar(/*urban=*/false, /*burst=*/false, 55, Fade::kRician);
+  Stack batched(/*urban=*/false, /*burst=*/false, 55, Fade::kRician);
   const std::vector<Receiver> receivers = {{2, {250.0, 0.0}},
                                            {kAp0, {500.0, 10.0}},
                                            {3, {300.0, 3.0}},
@@ -247,7 +352,7 @@ TEST(LinkBatchEquivalenceTest, NormalBatchMatchesScalarNormalDraws) {
 TEST(LinkBatchEquivalenceTest, SuccessProbabilityBatchMatchesScalar) {
   Stack scalar(/*urban=*/false, /*burst=*/false, 13);
   Stack batched(/*urban=*/false, /*burst=*/false, 13);
-  ScalarReference reference(*scalar.model);
+  ScalarReferenceLink reference(*scalar.model);
   const std::vector<double> sinr = {-5.0, 2.5, 8.0, 14.0, 30.0};
   std::vector<double> pScalar(sinr.size()), pBatched(sinr.size());
   reference.successProbabilityBatch(PhyMode::kDsss1Mbps, sinr.data(), 8000,
@@ -263,8 +368,7 @@ TEST(LinkBatchEquivalenceTest, EmptyReceiverSetConsumesNoRandomness) {
   Stack batched(/*urban=*/true, /*burst=*/false, 3);
   Rng before = batched.envRng;  // copy: continues the sequence identically
   LinkBatch batch;
-  batch.clear();
-  batch.prepare();
+  batch.resize(0);
   batched.model->planBatch(1, {0.0, 0.0}, 16.0, batch, batched.envRng);
   EXPECT_EQ(batch.size(), 0u);
   // Environment stream untouched (probe copies: the position check

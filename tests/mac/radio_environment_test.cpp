@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "../testing/medium_fixture.h"
+#include "../testing/scalar_reference_link.h"
 #include "mac/airtime.h"
 #include "obs/counters.h"
+#include "util/vmath.h"
 
 namespace vanet::mac {
 namespace {
@@ -241,6 +245,146 @@ TEST(RadioEnvironmentTest, EmptyReceiverSetAdvancesNothing) {
   EXPECT_EQ(stats.framesBurstLost, 0u);
   EXPECT_EQ(stats.framesCorruptDelivered, 0u);
   EXPECT_EQ(obs::takeSnapshot().counter("mac.link_evaluations"), evalsBefore);
+}
+
+/// A lossy Rayleigh channel: links past a few hundred metres cannot reach
+/// sensitivity even at the largest fade, so their fades are deferred.
+std::unique_ptr<channel::CompositeLinkModel> rayleighLinkModel() {
+  return std::make_unique<channel::CompositeLinkModel>(
+      std::make_unique<channel::LogDistancePathLoss>(3.0, 40.0),
+      std::make_unique<channel::LogDistancePathLoss>(3.0, 40.0),
+      std::make_unique<channel::NoShadowing>(),
+      std::make_unique<channel::RayleighFading>(), channel::LinkBudget{});
+}
+
+struct Reception {
+  std::size_t radio;
+  NodeId src;
+  double rxPowerDbm;
+  double sinrDb;
+  SimTime at;
+  bool corrupt;
+
+  bool operator==(const Reception&) const = default;
+};
+
+/// Two clusters 2 km apart transmit at overlapping times: every frame is
+/// decodable in its own cluster, and the other cluster's frames are
+/// interference that cannot be decoded (deferred fades). Returns every
+/// reception in order.
+std::vector<Reception> runTwoClusters(MediumHarness& h) {
+  const std::vector<geom::Vec2> positions = {
+      {0.0, 0.0}, {30.0, 0.0}, {60.0, 5.0},
+      {2000.0, 0.0}, {2030.0, 0.0}, {2060.0, 5.0}};
+  std::vector<Reception> receptions;
+  for (std::size_t r = 0; r < positions.size(); ++r) {
+    h.addRadio(static_cast<NodeId>(r + 1), positions[r]);
+  }
+  for (std::size_t r = 0; r < positions.size(); ++r) {
+    const auto record = [&receptions, r](bool corrupt) {
+      return [&receptions, r, corrupt](const Frame&, const RxInfo& info) {
+        receptions.push_back(
+            {r, info.src, info.rxPowerDbm, info.sinrDb, info.at, corrupt});
+      };
+    };
+    h.radio(r).setRxCallback(record(false));
+    h.radio(r).setCorruptRxCallback(record(true));
+  }
+  Rng schedule{5};
+  for (int frame = 0; frame < 300; ++frame) {
+    // One sender per cluster, each starting within a frame's airtime of
+    // the other: the frames overlap at every receiver.
+    const SimTime at = SimTime::millis(10.0 * frame);
+    const std::size_t near = static_cast<std::size_t>(frame % 3);
+    const std::size_t far = 3 + static_cast<std::size_t>((frame / 3) % 3);
+    const SimTime offset = SimTime::micros(schedule.uniformInt(0, 900));
+    h.sim().scheduleAt(at, [&h, near] {
+      h.radio(near).transmit(MediumHarness::dataFrame(2, 1, 200),
+                             PhyMode::kDsss1Mbps);
+    });
+    h.sim().scheduleAt(at + offset, [&h, far] {
+      h.radio(far).transmit(MediumHarness::dataFrame(2, 2, 200),
+                            PhyMode::kDsss1Mbps);
+    });
+  }
+  h.sim().run();
+  return receptions;
+}
+
+TEST(RadioEnvironmentTest, DeferredFadesInInterferenceMatchTheScalarReference) {
+  const std::uint64_t deferredBefore =
+      obs::takeSnapshot().counter("mac.links_deferred");
+  MediumHarness batched(rayleighLinkModel());
+  const std::vector<Reception> fromBatched = runTwoClusters(batched);
+  EXPECT_GT(obs::takeSnapshot().counter("mac.links_deferred"), deferredBefore);
+
+  // The same stack through the base-class planBatch: no deferral, no
+  // known means, every fade computed at planning time.
+  std::unique_ptr<channel::CompositeLinkModel> inner = rayleighLinkModel();
+  MediumHarness reference(
+      std::make_unique<vanet::testing::ScalarReferenceLink>(*inner));
+  const std::vector<Reception> fromReference = runTwoClusters(reference);
+
+  ASSERT_FALSE(fromBatched.empty());
+  EXPECT_EQ(fromBatched, fromReference);
+  const MediumStats& a = batched.environment().stats();
+  const MediumStats& b = reference.environment().stats();
+  EXPECT_EQ(std::tie(a.framesTransmitted, a.framesDelivered,
+                     a.framesBelowSensitivity, a.framesCollided,
+                     a.framesChannelError, a.framesBurstLost,
+                     a.framesHalfDuplexMissed, a.framesCorruptDelivered),
+            std::tie(b.framesTransmitted, b.framesDelivered,
+                     b.framesBelowSensitivity, b.framesCollided,
+                     b.framesChannelError, b.framesBurstLost,
+                     b.framesHalfDuplexMissed, b.framesCorruptDelivered));
+  EXPECT_GT(a.framesBelowSensitivity, 0u);
+  // The far cluster's deferred fades reached the SINR: some receptions
+  // saw noise plus interference above the noise floor (the far frames
+  // add about 0.01 dB, far above rounding).
+  const double noiseOnlyDbm = vmath::linearToDb(
+      vmath::dbToLinear(channel::LinkBudget{}.noiseFloorDbm));
+  std::size_t interfered = 0;
+  for (const Reception& rx : fromBatched) {
+    if (rx.rxPowerDbm - rx.sinrDb > noiseOnlyDbm + 1e-6) ++interfered;
+  }
+  EXPECT_GT(interfered, 0u);
+}
+
+TEST(RadioEnvironmentTest, StaticLinksArePlannedOnceAndDetachForgetsThem) {
+  // NoFading: a delivered frame's rx power is its link's mean.
+  MediumHarness h;
+  h.addRadio(1, {0.0, 0.0});
+  h.addRadio(2, {10.0, 0.0});
+  h.addRadio(3, {200.0, 0.0});
+  std::vector<double> atThree;
+  h.radio(1).setRxCallback([](const Frame&, const RxInfo&) {});
+  h.radio(2).setRxCallback([&atThree](const Frame&, const RxInfo& info) {
+    atThree.push_back(info.rxPowerDbm);
+  });
+  const auto cached = [] {
+    return obs::takeSnapshot().counter("mac.links_cached");
+  };
+  const auto send = [&h] {
+    h.radio(0).transmit(MediumHarness::dataFrame(2, 1), PhyMode::kDsss1Mbps);
+    h.sim().run();
+  };
+
+  const std::uint64_t before = cached();
+  send();  // first plan of 1->2 and 1->3
+  EXPECT_EQ(cached(), before);
+  send();  // both means known
+  EXPECT_EQ(cached(), before + 2);
+
+  // Radio 3 moves into radio 2's slot. A stale table would hand it the
+  // 10 m link's mean.
+  h.removeRadio(1);
+  send();
+  EXPECT_EQ(cached(), before + 2) << "detach forgets every static link";
+  send();
+  EXPECT_EQ(cached(), before + 3);
+
+  ASSERT_EQ(atThree.size(), 4u);
+  for (const double dbm : atThree) EXPECT_EQ(dbm, atThree.front());
 }
 
 TEST(RadioEnvironmentDeathTest, DoubleTransmitAsserts) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "obs/counters.h"
@@ -25,6 +26,23 @@ CampaignConfig tinyUrbanCampaign() {
   config.base.set("rounds", 2);
   config.base.set("cars", 2);
   config.grid.add("speed_kmh", {20.0, 30.0}).add("coop", {0.0, 1.0});
+  return config;
+}
+
+/// The infostation file download: 8 APs, so most frames reach receivers
+/// that cannot hear (deferred fades) and every AP<->AP link is planned
+/// once per round (cached means).
+CampaignConfig tinyHighwayFileCampaign() {
+  CampaignConfig config;
+  config.scenario = "highway_file";
+  config.masterSeed = 2008;
+  config.replications = 1;
+  config.threads = 2;
+  config.base.set("rounds", 2);
+  config.base.set("aps", 8);
+  config.base.set("cars", 3);
+  config.base.set("file", 20);
+  config.grid.add("coop", {0.0, 1.0});
   return config;
 }
 
@@ -62,15 +80,28 @@ TEST(ObsInvarianceTest, ResultBytesIdenticalWithObsOnOffAndProgress) {
   EXPECT_EQ(campaignPointsJson(withObs), campaignPointsJson(withProgress));
 }
 
-TEST(ObsInvarianceTest, WorkCountersEqualAcrossScheduleAxes) {
-  CampaignConfig config = tinyUrbanCampaign();
+/// Runs `config` serially, then at 2 threads, then at 2 threads with 2
+/// round threads: the work counters must not move.
+void expectWorkCountersEqualAcrossScheduleAxes(CampaignConfig config,
+                                               const std::string& jobsRun) {
   config.threads = 1;
   obs::resetAll();
   runCampaign(config);
-  const std::string serial = workCounters(obs::takeSnapshot());
-  ASSERT_NE(serial.find("campaign.jobs_run=8"), std::string::npos);
+  const obs::Snapshot snapshot = obs::takeSnapshot();
+  const std::string serial = workCounters(snapshot);
+  ASSERT_NE(serial.find("campaign.jobs_run=" + jobsRun + "\n"),
+            std::string::npos)
+      << serial;
   ASSERT_NE(serial.find("sim.events_dispatched="), std::string::npos);
   ASSERT_NE(serial.find("mac.frames_delivered="), std::string::npos);
+  // The total still counts every drop; the causes split it.
+  std::uint64_t causes = 0;
+  for (const char* cause :
+       {"half_duplex", "below_sensitivity", "collision", "channel_error",
+        "burst"}) {
+    causes += snapshot.counter(std::string("mac.frames_dropped.") + cause);
+  }
+  EXPECT_EQ(causes, snapshot.counter("mac.frames_dropped"));
 
   config.threads = 2;
   obs::resetAll();
@@ -81,6 +112,17 @@ TEST(ObsInvarianceTest, WorkCountersEqualAcrossScheduleAxes) {
   obs::resetAll();
   runCampaign(config);
   EXPECT_EQ(workCounters(obs::takeSnapshot()), serial);
+}
+
+TEST(ObsInvarianceTest, WorkCountersEqualAcrossScheduleAxes) {
+  expectWorkCountersEqualAcrossScheduleAxes(tinyUrbanCampaign(), "8");
+  expectWorkCountersEqualAcrossScheduleAxes(tinyHighwayFileCampaign(), "2");
+  // The highway campaign took both cheap paths.
+  const obs::Snapshot highway = obs::takeSnapshot();
+  EXPECT_GT(highway.counter("mac.links_deferred"), 0u);
+  EXPECT_GT(highway.counter("mac.links_cached"), 0u);
+  EXPECT_GT(highway.counter("mac.frames_dropped.below_sensitivity"), 0u);
+  EXPECT_GT(highway.counter("mac.frames_dropped.half_duplex"), 0u);
 }
 
 TEST(ObsInvarianceTest, ShardCountersSumToTheFullRun) {

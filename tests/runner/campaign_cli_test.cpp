@@ -56,14 +56,17 @@ class CampaignCliTest : public ::testing::Test {
   }
 
   /// Runs `vanet_campaign run <specPath> <flags> --progress
-  /// --checkpoint=<dir>/ck.bin`.
+  /// --checkpoint=<dir>/ck.bin` (without the --checkpoint flag when
+  /// `withCheckpoint` is false).
   CliRun run(const std::string& flags,
-             const std::string& specPath = committed("ablation_speed")) const {
+             const std::string& specPath = committed("ablation_speed"),
+             bool withCheckpoint = true) const {
     const fs::path log = dir_ / "cli.log";
     const std::string command =
         std::string(VANET_CAMPAIGN_BIN) + " run " + specPath + " " + flags +
-        " --progress --checkpoint=" + checkpoint().string() + " > " +
-        log.string() + " 2>&1";
+        " --progress" +
+        (withCheckpoint ? " --checkpoint=" + checkpoint().string() : "") +
+        " > " + log.string() + " 2>&1";
     CliRun result;
     result.status = std::system(command.c_str());
     std::ifstream in(log);
@@ -112,6 +115,36 @@ TEST_F(CampaignCliTest, MissingPartialOutParentFailsBeforeAnyJob) {
             std::string::npos)
       << result.output;
   EXPECT_FALSE(anyJobRan(result)) << result.output;
+}
+
+TEST_F(CampaignCliTest, PartialOutThatIsADirectoryFailsBeforeAnyJob) {
+  // Not every job run and then the results lost to "cannot write DIR".
+  const CliRun result = run("--partial-out=" + dir_.string());
+  ASSERT_TRUE(WIFEXITED(result.status)) << result.output;
+  EXPECT_EQ(WEXITSTATUS(result.status), 1) << result.output;
+  EXPECT_NE(result.output.find("error: --partial-out: output path '" +
+                               dir_.string() + "' is a directory, not a file"),
+            std::string::npos)
+      << result.output;
+  EXPECT_FALSE(anyJobRan(result)) << result.output;
+}
+
+TEST_F(CampaignCliTest, CheckpointThatIsADirectoryFailsBeforeAnyJob) {
+  // Not a failure after wave 0 ("cannot move the campaign checkpoint").
+  const fs::path checkpointDir = dir_ / "checkpoints";
+  fs::create_directories(checkpointDir);
+  const CliRun result = run("--checkpoint=" + checkpointDir.string(),
+                            committed("ablation_speed"),
+                            /*withCheckpoint=*/false);
+  ASSERT_TRUE(WIFEXITED(result.status)) << result.output;
+  EXPECT_EQ(WEXITSTATUS(result.status), 1) << result.output;
+  EXPECT_NE(result.output.find("error: --checkpoint: output path '" +
+                               checkpointDir.string() +
+                               "' is a directory, not a file"),
+            std::string::npos)
+      << result.output;
+  EXPECT_FALSE(anyJobRan(result)) << result.output;
+  EXPECT_TRUE(fs::is_empty(checkpointDir));
 }
 
 TEST_F(CampaignCliTest, ArtefactOnAFullDiskFailsTheRun) {

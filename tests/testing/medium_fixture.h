@@ -48,6 +48,10 @@ class MediumHarness {
     return radios_.size() - 1;
   }
 
+  /// Destroys radio `i` (it detaches from the environment); the other
+  /// radios keep their indices.
+  void removeRadio(std::size_t i) { radios_.at(i).reset(); }
+
   sim::Simulator& sim() noexcept { return sim_; }
   mac::RadioEnvironment& environment() noexcept { return environment_; }
   mac::Radio& radio(std::size_t i) { return *radios_.at(i); }
