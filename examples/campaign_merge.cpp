@@ -36,6 +36,12 @@ int main(int argc, char** argv) {
                  " [--json=FILE] [--figures-dir=DIR --figures-base=B]\n";
     return 2;
   }
+  // Read every output flag before the merge: a bare or empty one exits 2
+  // with nothing written.
+  const std::string csvPath = flags.getString("csv", "");
+  const std::string jsonPath = flags.getString("json", "");
+  const std::string figuresDir = flags.getString("figures-dir", "");
+  const std::string base = flags.getString("figures-base", "campaign");
 
   runner::CampaignResult merged;
   try {
@@ -51,7 +57,6 @@ int main(int argc, char** argv) {
             << " jobs\n";
 
   bool ok = true;
-  const std::string csvPath = flags.getString("csv", "");
   if (!csvPath.empty()) {
     if (runner::writeCampaignCsv(csvPath, merged)) {
       std::cout << "wrote " << csvPath << "\n";
@@ -59,7 +64,6 @@ int main(int argc, char** argv) {
       ok = false;
     }
   }
-  const std::string jsonPath = flags.getString("json", "");
   if (!jsonPath.empty()) {
     if (runner::writeCampaignJson(jsonPath, merged)) {
       std::cout << "wrote " << jsonPath << "\n";
@@ -67,9 +71,7 @@ int main(int argc, char** argv) {
       ok = false;
     }
   }
-  const std::string figuresDir = flags.getString("figures-dir", "");
   if (!figuresDir.empty()) {
-    const std::string base = flags.getString("figures-base", "campaign");
     std::size_t expected = 0;
     for (const runner::GridPointSummary& point : merged.points) {
       expected += point.figures.size();

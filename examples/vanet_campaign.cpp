@@ -8,7 +8,7 @@
 ///       Runs the spec. The experiment definition (scenario, cases,
 ///       grid, seed, replication policy, emit list) lives entirely in
 ///       the spec; the flags steer only the engine:
-///         --threads=N --round-threads=N --shard=i/N
+///         --threads=N --shard=i/N
 ///         --checkpoint=F --resume --halt-after-waves=K
 ///         --partial-out=F --progress --log-level=L
 ///       With --csv=DIR the spec's emit list is written into DIR, every

@@ -1,52 +1,9 @@
 #include "analysis/experiment.h"
 
-#include <cstddef>
-
 #include "analysis/round.h"
 #include "obs/counters.h"
-#include "util/reorder.h"
-#include "util/thread_pool.h"
 
 namespace vanet::analysis {
-namespace {
-
-/// The fold layer's round engine: resolves the round-worker count
-/// against the shared thread budget, runs the kernel for every round,
-/// and folds the outcomes strictly in round order through the bounded
-/// reordering window -- bit-identical to the serial loop at any worker
-/// count (including the degraded inline case). Returns the workers used.
-template <typename Outcome, typename Kernel, typename Fold>
-int runRoundsOrdered(int rounds, int requestedWorkers, Kernel&& kernel,
-                     Fold&& fold) {
-  util::ThreadBudget& budget = util::ThreadBudget::global();
-  int want = requestedWorkers;
-  if (want <= 0) {
-    // Claim whatever the budget has left. The engine cannot tell whether
-    // the calling thread is already registered (a campaign job worker)
-    // or not (a standalone experiment), so it counts the caller against
-    // the remaining room either way: nested use leaves one slot spare
-    // rather than the standalone case oversubscribing by one.
-    want = budget.limit() - budget.inUse();
-  }
-  if (want > rounds) want = rounds;
-  if (want < 1) want = 1;
-  // The calling thread is one worker; lease only the extras, without
-  // force: nested under busy campaign job workers this degrades
-  // gracefully toward inline execution instead of oversubscribing.
-  const util::ThreadLease lease(budget, want - 1);
-  const int workers = 1 + lease.granted();
-  util::foldOrdered<Outcome>(
-      static_cast<std::size_t>(rounds), workers,
-      util::reorderWindowCap(workers),
-      [&kernel](std::size_t round) { return kernel(static_cast<int>(round)); },
-      [&fold](std::size_t round, Outcome& outcome) {
-        OBS_SCOPED_TIMER("round.fold");
-        fold(static_cast<int>(round), outcome);
-      });
-  return workers;
-}
-
-}  // namespace
 
 // ----------------------------------------------------------------- urban
 
@@ -61,14 +18,13 @@ UrbanExperimentResult UrbanExperiment::run() {
   UrbanExperimentResult result;
   trace::Table1Accumulator table1;
   trace::FigureAccumulator figures;
-  result.roundWorkers = runRoundsOrdered<UrbanRoundOutcome>(
-      config_.rounds, config_.roundThreads,
-      [this](int round) { return runRound(round); },
-      [&](int, UrbanRoundOutcome& outcome) {
-        table1.addRound(outcome.trace);
-        figures.addRound(outcome.trace);
-        result.totals.merge(outcome.totals);
-      });
+  for (int round = 0; round < config_.rounds; ++round) {
+    const UrbanRoundOutcome outcome = runRound(round);
+    OBS_SCOPED_TIMER("round.fold");
+    table1.addRound(outcome.trace);
+    figures.addRound(outcome.trace);
+    result.totals.merge(outcome.totals);
+  }
   result.table1 = table1.data();
   result.figures = figures.flows();
   result.rounds = config_.rounds;
@@ -95,22 +51,21 @@ HighwayRoundOutcome HighwayExperiment::runRound(int roundIndex) const {
 HighwayExperimentResult HighwayExperiment::run() {
   HighwayExperimentResult result;
   trace::Table1Accumulator table1;
-  result.roundWorkers = runRoundsOrdered<HighwayRoundOutcome>(
-      config_.rounds, config_.roundThreads,
-      [this](int round) { return runRound(round); },
-      [&](int, HighwayRoundOutcome& outcome) {
-        table1.addRound(outcome.trace);
-        for (const HighwayCarRound& record : outcome.cars) {
-          HighwayCarResult& carResult = result.cars[record.car];
-          carResult.car = record.car;
-          if (record.visitsAtComplete >= 0) {
-            ++carResult.completedRounds;
-            carResult.apVisitsToComplete.add(record.visitsAtComplete);
-            carResult.timeToCompleteSeconds.add(record.completeAtSeconds);
-          }
-        }
-        result.totals.merge(outcome.totals);
-      });
+  for (int round = 0; round < config_.rounds; ++round) {
+    const HighwayRoundOutcome outcome = runRound(round);
+    OBS_SCOPED_TIMER("round.fold");
+    table1.addRound(outcome.trace);
+    for (const HighwayCarRound& record : outcome.cars) {
+      HighwayCarResult& carResult = result.cars[record.car];
+      carResult.car = record.car;
+      if (record.visitsAtComplete >= 0) {
+        ++carResult.completedRounds;
+        carResult.apVisitsToComplete.add(record.visitsAtComplete);
+        carResult.timeToCompleteSeconds.add(record.completeAtSeconds);
+      }
+    }
+    result.totals.merge(outcome.totals);
+  }
   result.table1 = table1.data();
   result.rounds = config_.rounds;
   return result;

@@ -17,9 +17,8 @@
 ///           bytes, whichever thread runs them.
 ///
 /// The per-round RNG tree is rooted at
-/// Rng{config.seed}.child("<scenario>-run").child(roundIndex), exactly as
-/// the original serial loop derived it -- round parallelism changes no
-/// stream.
+/// Rng{config.seed}.child("<scenario>-run").child(roundIndex), so a
+/// round's streams depend on its index alone.
 
 #include <functional>
 #include <map>

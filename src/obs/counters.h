@@ -22,11 +22,10 @@
 ///  3. *Deterministic snapshots where the workload is deterministic.*
 ///     snapshot() returns name-sorted totals; counters that count
 ///     simulation work (events dispatched, frames delivered, ...) are
-///     byte-stable across --threads / --round-threads / shards
-///     because the jobs themselves are. Scheduling-dependent
-///     counters (reorder-window stalls) and all timers are measurements
-///     of *this* run, not of the workload, and are excluded from any
-///     determinism claim.
+///     byte-stable across --threads and shards because the jobs
+///     themselves are. Scheduling-dependent counters (reorder-window
+///     stalls) and all timers are measurements of *this* run, not of
+///     the workload, and are excluded from any determinism claim.
 ///
 /// Naming scheme: dot-separated hierarchy, `<layer>.<event>` --
 /// `sim.events_dispatched`, `mac.frames_delivered`, `round.kernel`,

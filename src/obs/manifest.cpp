@@ -2,7 +2,6 @@
 
 #include <fstream>
 #include <iterator>
-#include <stdexcept>
 
 #include "util/file.h"
 #include "util/json.h"
@@ -82,26 +81,6 @@ std::string hexDigest(std::uint64_t digest) {
   return out;
 }
 
-std::uint64_t parseHexDigest(const std::string& text) {
-  if (text.empty() || text.size() > 16) {
-    throw std::runtime_error("manifest: malformed spec_digest \"" + text +
-                             "\"");
-  }
-  std::uint64_t digest = 0;
-  for (const char c : text) {
-    digest <<= 4;
-    if (c >= '0' && c <= '9') {
-      digest |= static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      digest |= static_cast<std::uint64_t>(c - 'a' + 10);
-    } else {
-      throw std::runtime_error("manifest: malformed spec_digest \"" + text +
-                               "\"");
-    }
-  }
-  return digest;
-}
-
 }  // namespace
 
 void setRunIdentity(int argc, const char* const* argv) {
@@ -168,7 +147,6 @@ std::string manifestJson(const RunManifest& manifest) {
   out += "\"scenario\":" + quote(manifest.scenario) + ",\n";
   out += "\"master_seed\":" + std::to_string(manifest.masterSeed) + ",\n";
   out += "\"threads\":" + std::to_string(manifest.threads) + ",\n";
-  out += "\"round_threads\":" + std::to_string(manifest.roundThreads) + ",\n";
   out += "\"shard_index\":" + std::to_string(manifest.shardIndex) + ",\n";
   out += "\"shard_count\":" + std::to_string(manifest.shardCount) + ",\n";
   out += "\"target_ci\":" + num(manifest.targetCi) + ",\n";
@@ -189,49 +167,6 @@ std::string manifestJson(const RunManifest& manifest) {
   out += manifest.points.empty() ? "]\n" : "\n]\n";
   out += "}\n";
   return out;
-}
-
-RunManifest manifestFromJson(const std::string& text) {
-  const json::Value doc = json::parse(text);
-  if (doc.at("format").asString() != "vanet-run-manifest") {
-    throw std::runtime_error("not a vanet run-manifest file");
-  }
-  RunManifest manifest;
-  manifest.artifact = doc.at("artifact").asString();
-  manifest.tool = doc.at("tool").asString();
-  for (const json::Value& arg : doc.at("args").asArray()) {
-    manifest.args.push_back(arg.asString());
-  }
-  manifest.gitRev = doc.at("git_rev").asString();
-  manifest.buildFlags = doc.at("build_flags").asString();
-  manifest.scenario = doc.at("scenario").asString();
-  manifest.masterSeed = doc.at("master_seed").asUInt64();
-  manifest.threads = static_cast<int>(doc.at("threads").asInt64());
-  manifest.roundThreads = static_cast<int>(doc.at("round_threads").asInt64());
-  manifest.shardIndex = static_cast<int>(doc.at("shard_index").asInt64());
-  manifest.shardCount = static_cast<int>(doc.at("shard_count").asInt64());
-  manifest.targetCi = doc.at("target_ci").asDouble();
-  manifest.targetMetric = doc.at("target_metric").asString();
-  manifest.wallSeconds = doc.at("wall_seconds").asDouble();
-  manifest.jobsPerSecond = doc.at("jobs_per_second").asDouble();
-  // Spec identity arrived with format v1 sidecars of spec-driven runs;
-  // find() keeps older sidecars (no such keys) parseable.
-  if (const json::Value* specPath = doc.find("spec_path")) {
-    manifest.specPath = specPath->asString();
-  }
-  if (const json::Value* specDigest = doc.find("spec_digest")) {
-    manifest.specDigest = parseHexDigest(specDigest->asString());
-  }
-  for (const json::Value& point : doc.at("points").asArray()) {
-    ManifestPoint row;
-    row.gridIndex =
-        static_cast<std::size_t>(point.at("grid_index").asUInt64());
-    row.replications =
-        static_cast<int>(point.at("replications").asInt64());
-    row.achievedCi95 = point.at("achieved_ci95").asDouble();
-    manifest.points.push_back(row);
-  }
-  return manifest;
 }
 
 std::string manifestPathFor(const std::string& artifactPath) {

@@ -6,8 +6,8 @@
 /// `<out>`, the writer drops `<out>.manifest.json` next to it recording
 /// *how the bytes were produced*: git revision and build flags of the
 /// binary, the full command line, the master seed, the parallelism axes
-/// (threads / round-threads / shard), wall time, and the per-point
-/// replication / achieved-CI table.
+/// (threads / shard), wall time, and the per-point replication /
+/// achieved-CI table.
 ///
 /// Manifests are out-of-band observability: they are separate files, so
 /// the byte-diff determinism checks on the artefacts themselves are
@@ -42,7 +42,6 @@ struct RunManifest {
   std::string scenario;
   std::uint64_t masterSeed = 0;
   int threads = 0;
-  int roundThreads = 0;
   int shardIndex = 0;
   int shardCount = 1;
   /// Adaptive stop rule of the run; 0 / empty when fixed-count.
@@ -95,11 +94,6 @@ RunManifest manifestForArtifact(const std::string& artifactPath);
 /// Deterministic JSON rendering (full precision numbers; fixed key
 /// order).
 std::string manifestJson(const RunManifest& manifest);
-
-/// Parses manifestJson() output. Throws std::runtime_error on malformed
-/// input. manifestJson(manifestFromJson(text)) == text for any text this
-/// library wrote -- the round-trip the obs tests assert.
-RunManifest manifestFromJson(const std::string& text);
 
 /// `<artifactPath>.manifest.json`.
 std::string manifestPathFor(const std::string& artifactPath);

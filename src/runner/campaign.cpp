@@ -136,7 +136,6 @@ CampaignResult runCampaign(const CampaignConfig& config) {
   merged.waves = stats.waves;
   merged.shard = config.shard;
   merged.threads = stats.threads;
-  merged.roundThreads = plan->roundThreads();
   merged.jobCount = stats.jobsRun;
   merged.totalPoints = plan->points().size();
   merged.totalJobs = plan->totalJobCount();

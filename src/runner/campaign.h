@@ -44,8 +44,6 @@ struct CampaignResult {
   int waves = 0;         ///< replication waves executed (1 when fixed)
   Shard shard{};         ///< which slice this process ran
   int threads = 0;           ///< workers actually used
-  /// Round workers requested per job (CampaignConfig::roundThreads).
-  int roundThreads = 0;
   std::size_t jobCount = 0;  ///< jobs run by this process
   std::size_t totalPoints = 0;  ///< full-grid point count
   /// Full job-index space of the plan (upper bound when adaptive).

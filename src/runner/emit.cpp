@@ -58,7 +58,6 @@ void writeCampaignArtifactManifest(const std::string& path,
   manifest.scenario = result.scenario;
   manifest.masterSeed = result.masterSeed;
   manifest.threads = result.threads;
-  manifest.roundThreads = result.roundThreads;
   manifest.shardIndex = result.shard.index;
   manifest.shardCount = result.shard.count;
   manifest.targetCi = result.targetRelativeCi95;

@@ -57,7 +57,6 @@ JobResult runJob(const CampaignPlan& plan, const JobSpec& spec) {
   context.seed = spec.seed;
   context.replication = spec.replication;
   context.jobIndex = spec.globalIndex;
-  context.roundThreads = plan.roundThreads();
   try {
     JobResult result = plan.scenario().run(context);
     OBS_COUNT("campaign.jobs_run");
@@ -84,13 +83,6 @@ ExecutionStats executeCampaign(const CampaignPlan& plan, int requestedThreads,
   const std::size_t jobCount = plan.shardJobCount();
   ExecutionStats stats;
   stats.threads = resolveThreadCount(requestedThreads, jobCount);
-
-  // Record the job workers in the global budget (force: an explicit
-  // --threads count is an instruction). Round engines nested inside the
-  // jobs draw *their* workers from what remains, so one budget splits as
-  // jobs x round-workers instead of the two layers multiplying.
-  const util::ThreadLease lease(util::ThreadBudget::global(), stats.threads,
-                                /*force=*/true);
 
   const auto started = std::chrono::steady_clock::now();
 

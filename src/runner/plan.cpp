@@ -135,7 +135,6 @@ CampaignPlan buildPlan(const CampaignConfig& config) {
           "\" declares no default, set CampaignConfig::targetMetric");
     }
   }
-  plan.roundThreads_ = config.roundThreads;
   plan.shard_ = config.shard;
 
   // Resolve every grid point up front: scenario defaults, then the

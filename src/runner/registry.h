@@ -33,10 +33,6 @@ struct JobContext {
   std::uint64_t seed = 0;    ///< per-job stream; see Rng::deriveStreamSeed
   int replication = 0;       ///< 0-based replication index at this point
   std::size_t jobIndex = 0;  ///< global index in the campaign work-list
-  /// Round workers the experiment may use (CampaignConfig::roundThreads;
-  /// an engine knob, deliberately not a ParamSet entry so it never lands
-  /// in emitted params). Results are identical for every value.
-  int roundThreads = 1;
 };
 
 /// What one job returns. `table1`, `figures` and `totals` merge across

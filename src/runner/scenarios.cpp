@@ -175,7 +175,6 @@ analysis::UrbanExperimentConfig urbanConfig(const JobContext& job) {
   analysis::UrbanExperimentConfig config;
   config.rounds = countParam(job.params, "rounds", 30);
   config.seed = job.seed;
-  config.roundThreads = job.roundThreads;
   config.scenario.carCount = countParam(job.params, "cars", 3);
   config.scenario.baseSpeedMps =
       positiveParam(job.params, "speed_kmh", 20.0) / 3.6;
@@ -190,7 +189,6 @@ analysis::HighwayExperimentConfig highwayConfig(const JobContext& job) {
   analysis::HighwayExperimentConfig config;
   config.rounds = countParam(job.params, "rounds", 15);
   config.seed = job.seed;
-  config.roundThreads = job.roundThreads;
   config.scenario.carCount = countParam(job.params, "cars", 3);
   config.scenario.speedMps = positiveParam(job.params, "speed_kmh", 80.0) / 3.6;
   config.scenario.apCount = countParam(job.params, "aps", 1);

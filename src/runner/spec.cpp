@@ -500,7 +500,6 @@ CampaignConfig campaignConfigFromSpec(const CampaignSpec& spec) {
 
 void applyEngineFlags(const CampaignRunFlags& run, CampaignConfig& config) {
   config.threads = run.threads;
-  config.roundThreads = run.roundThreads;
   config.shard = Shard{run.shard.index, run.shard.count};
   config.progress = run.progress;
   config.checkpointPath = run.checkpoint;

@@ -120,8 +120,8 @@ std::uint64_t campaignSpecDigest(const CampaignSpec& spec);
 /// with applyEngineFlags().
 CampaignConfig campaignConfigFromSpec(const CampaignSpec& spec);
 
-/// The engine half: copies the shared run flags (threads, round workers,
-/// shard, progress, checkpoint/resume, halt-after-waves) onto
+/// The engine half: copies the shared run flags (threads, shard,
+/// progress, checkpoint/resume, halt-after-waves) onto
 /// `config` without touching the experiment definition. The flags carry
 /// neither the seed nor the adaptive policy — both belong to the spec.
 void applyEngineFlags(const CampaignRunFlags& run, CampaignConfig& config);

@@ -38,13 +38,17 @@ Flags::Flags(int argc, const char* const* argv) {
     arg.erase(0, 2);
     const auto eq = arg.find('=');
     if (eq != std::string::npos) {
-      values_[arg.substr(0, eq)] = arg.substr(eq + 1);
+      std::string name = arg.substr(0, eq);
+      bare_.erase(name);
+      values_[std::move(name)] = arg.substr(eq + 1);
       continue;
     }
     // `--name value` unless the next token is itself a flag (then bare bool).
     if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
+      bare_.erase(arg);
       values_[arg] = argv[++i];
     } else {
+      bare_.insert(arg);
       values_[arg] = "true";
     }
   }
@@ -106,7 +110,13 @@ ShardSpec Flags::getShard(const std::string& name, ShardSpec fallback) const {
 
 std::string Flags::getString(const std::string& name, std::string fallback) const {
   const auto it = values_.find(name);
-  return it == values_.end() ? std::move(fallback) : it->second;
+  if (it == values_.end()) return fallback;
+  if (bare_.count(name) > 0 || it->second.empty()) {
+    std::fprintf(stderr, "flag --%s: needs a value (--%s=VALUE)\n",
+                 name.c_str(), name.c_str());
+    std::exit(2);
+  }
+  return it->second;
 }
 
 void Flags::allowOnly(const std::vector<std::string>& known) const {
@@ -121,9 +131,8 @@ void Flags::allowOnly(const std::vector<std::string>& known) const {
 }
 
 std::vector<std::string> campaignFlagNames() {
-  return {"threads",          "round-threads", "shard",
-          "partial-out",      "checkpoint",    "resume",
-          "halt-after-waves", "progress",      "log-level"};
+  return {"threads", "shard",            "partial-out", "checkpoint",
+          "resume",  "halt-after-waves", "progress",    "log-level"};
 }
 
 bool Flags::getBool(const std::string& name, bool fallback) const {
@@ -139,7 +148,10 @@ bool Flags::getBool(const std::string& name, bool fallback) const {
 CampaignRunFlags campaignRunFlags(const Flags& flags) {
   CampaignRunFlags run;
   run.threads = flags.getInt("threads", 0);
-  run.roundThreads = flags.getInt("round-threads", 1);
+  if (run.threads < 0) {
+    badValue("threads", std::to_string(run.threads),
+             "a thread count >= 0 (0 = all cores)");
+  }
   run.shard = flags.getShard("shard");
   run.partialOut = flags.getString("partial-out", "");
   run.checkpoint = flags.getString("checkpoint", "");
@@ -149,7 +161,11 @@ CampaignRunFlags campaignRunFlags(const Flags& flags) {
     std::exit(2);
   }
   run.haltAfterWaves = flags.getInt("halt-after-waves", -1);
-  if (run.haltAfterWaves >= 0 && run.checkpoint.empty()) {
+  if (flags.has("halt-after-waves") && run.haltAfterWaves < 1) {
+    badValue("halt-after-waves", std::to_string(run.haltAfterWaves),
+             "a wave count >= 1");
+  }
+  if (run.haltAfterWaves >= 1 && run.checkpoint.empty()) {
     // A halted run emits nothing: without a checkpoint its waves are lost.
     std::fprintf(stderr,
                  "flag --halt-after-waves needs --checkpoint=<path>\n");

@@ -6,6 +6,7 @@
 /// Unknown positional arguments are collected in positional().
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -32,6 +33,8 @@ class Flags {
   /// with a clear message when the value does not parse.
   int getInt(const std::string& name, int fallback) const;
   double getDouble(const std::string& name, double fallback) const;
+  /// A bare `--name` or an empty `--name=` has no value to use: both
+  /// abort naming the flag instead of reading as "true" or as absent.
   std::string getString(const std::string& name, std::string fallback) const;
 
   /// A bare `--name` or `--name=true|1|yes` is true; `=false|0|no` is false.
@@ -51,7 +54,8 @@ class Flags {
   void allowOnly(const std::vector<std::string>& known) const;
 
  private:
-  std::map<std::string, std::string> values_;
+  std::map<std::string, std::string> values_;  ///< a bare flag reads "true"
+  std::set<std::string> bare_;  ///< flags whose last occurrence was bare
   std::vector<std::string> positional_;
 };
 
@@ -61,11 +65,8 @@ class Flags {
 std::vector<std::string> campaignFlagNames();
 
 /// The campaign engine flags (one parser instead of per-binary copies):
-///   --threads=N        campaign job workers (0 = hardware concurrency)
-///   --round-threads=N  round workers inside each job's experiment
-///                      (1 = serial rounds, 0 = whatever the shared
-///                      thread budget has left); results are identical
-///                      for every value
+///   --threads=N        campaign job workers, the only parallel axis
+///                      (0 = hardware concurrency; < 0 exits 2)
 ///   --shard=i/N        run shard i of N (whole grid points)
 ///   --partial-out=F    write this shard's binary partial result to F
 ///   --checkpoint=F     write a binary checkpoint partial to F at every
@@ -74,9 +75,9 @@ std::vector<std::string> campaignFlagNames();
 ///                      continue at the first uncovered wave; the final
 ///                      artifacts are byte-identical to an uninterrupted
 ///                      run
-///   --halt-after-waves=K  stop after K wave barriers, leaving the fold
-///                      state in --checkpoint=F (kill simulation for
-///                      checkpoint tests; default: run to completion)
+///   --halt-after-waves=K  stop after K >= 1 wave barriers, leaving the
+///                      fold state in --checkpoint=F (kill simulation
+///                      for checkpoint tests; default: run to completion)
 ///   --progress         live progress lines on stderr (rate-limited,
 ///                      `progress: `-prefixed; results are unchanged)
 ///   --log-level=L      error|warn|info|debug|trace; overrides the
@@ -85,7 +86,6 @@ std::vector<std::string> campaignFlagNames();
 /// they are the spec's `seed` and `adaptive` keys (runner/spec.h).
 struct CampaignRunFlags {
   int threads = 0;
-  int roundThreads = 1;
   ShardSpec shard{};
   std::string partialOut;
   std::string checkpoint;     ///< per-wave checkpoint file; empty = off
@@ -97,6 +97,7 @@ struct CampaignRunFlags {
 /// Reads the shared campaign flags from `flags`. Also *applies* the
 /// logging flags as a side effect: `--log-level=L` (validated; abort on
 /// an unknown name) wins over the VANET_LOG environment default.
+/// `--threads` < 0 and `--halt-after-waves` < 1 exit 2 naming the flag.
 /// `--resume` and `--halt-after-waves` without `--checkpoint` exit 2:
 /// neither has any state to read or keep without it.
 CampaignRunFlags campaignRunFlags(const Flags& flags);

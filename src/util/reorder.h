@@ -1,9 +1,9 @@
 #pragma once
 
 /// \file reorder.h
-/// Bounded index-order reordering window, shared by the campaign
-/// executor and the intra-experiment round engine: both fold their
-/// results through the exact same machinery.
+/// Bounded index-order reordering window of the campaign executor
+/// (src/runner/executor.cpp): job results from any number of workers
+/// fold in job order.
 ///
 /// The shape: jobs 0..count-1 complete on worker threads in any order;
 /// completed results are *parked* keyed by index, and the worker whose

@@ -26,49 +26,4 @@ void runWorkers(int workers, const std::function<void()>& worker) {
   }
 }
 
-ThreadBudget& ThreadBudget::global() {
-  static ThreadBudget* budget = new ThreadBudget();
-  return *budget;
-}
-
-ThreadBudget::ThreadBudget() noexcept : limit_(hardwareThreads()) {}
-
-ThreadBudget::ThreadBudget(int limit) noexcept
-    : limit_(limit > 0 ? limit : hardwareThreads()) {}
-
-void ThreadBudget::setLimit(int limit) noexcept {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  limit_ = limit > 0 ? limit : hardwareThreads();
-}
-
-int ThreadBudget::limit() const noexcept {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return limit_;
-}
-
-int ThreadBudget::inUse() const noexcept {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return inUse_;
-}
-
-int ThreadBudget::acquire(int requested, bool force) noexcept {
-  if (requested <= 0) return 0;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  int granted = requested;
-  if (!force) {
-    const int room = limit_ - inUse_;
-    if (granted > room) granted = room;
-    if (granted < 0) granted = 0;
-  }
-  inUse_ += granted;
-  return granted;
-}
-
-void ThreadBudget::release(int granted) noexcept {
-  if (granted <= 0) return;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  inUse_ -= granted;
-  if (inUse_ < 0) inUse_ = 0;
-}
-
 }  // namespace vanet::util

@@ -80,8 +80,8 @@ TEST(ObsInvarianceTest, ResultBytesIdenticalWithObsOnOffAndProgress) {
   EXPECT_EQ(campaignPointsJson(withObs), campaignPointsJson(withProgress));
 }
 
-/// Runs `config` serially, then at 2 threads, then at 2 threads with 2
-/// round threads: the work counters must not move.
+/// Runs `config` serially, then at 2 threads: the work counters must not
+/// move.
 void expectWorkCountersEqualAcrossScheduleAxes(CampaignConfig config,
                                                const std::string& jobsRun) {
   config.threads = 1;
@@ -104,11 +104,6 @@ void expectWorkCountersEqualAcrossScheduleAxes(CampaignConfig config,
   EXPECT_EQ(causes, snapshot.counter("mac.frames_dropped"));
 
   config.threads = 2;
-  obs::resetAll();
-  runCampaign(config);
-  EXPECT_EQ(workCounters(obs::takeSnapshot()), serial);
-
-  config.roundThreads = 2;
   obs::resetAll();
   runCampaign(config);
   EXPECT_EQ(workCounters(obs::takeSnapshot()), serial);

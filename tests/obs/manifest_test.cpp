@@ -5,8 +5,10 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <stdexcept>
 #include <string>
+#include <vector>
+
+#include "util/json.h"
 
 namespace vanet::obs {
 namespace {
@@ -21,7 +23,6 @@ RunManifest fullManifest() {
   manifest.scenario = "highway";
   manifest.masterSeed = 2008;
   manifest.threads = 2;
-  manifest.roundThreads = 1;
   manifest.shardIndex = 1;
   manifest.shardCount = 3;
   manifest.targetCi = 0.05;
@@ -36,44 +37,36 @@ RunManifest fullManifest() {
 
 TEST(ObsManifestTest, RoundTripsEveryField) {
   const RunManifest original = fullManifest();
-  const RunManifest parsed = manifestFromJson(manifestJson(original));
-  EXPECT_EQ(parsed.artifact, original.artifact);
-  EXPECT_EQ(parsed.tool, original.tool);
-  EXPECT_EQ(parsed.args, original.args);
-  EXPECT_EQ(parsed.gitRev, original.gitRev);
-  EXPECT_EQ(parsed.buildFlags, original.buildFlags);
-  EXPECT_EQ(parsed.scenario, original.scenario);
-  EXPECT_EQ(parsed.masterSeed, original.masterSeed);
-  EXPECT_EQ(parsed.threads, original.threads);
-  EXPECT_EQ(parsed.roundThreads, original.roundThreads);
-  EXPECT_EQ(parsed.shardIndex, original.shardIndex);
-  EXPECT_EQ(parsed.shardCount, original.shardCount);
-  EXPECT_DOUBLE_EQ(parsed.targetCi, original.targetCi);
-  EXPECT_EQ(parsed.targetMetric, original.targetMetric);
-  EXPECT_DOUBLE_EQ(parsed.wallSeconds, original.wallSeconds);
-  EXPECT_DOUBLE_EQ(parsed.jobsPerSecond, original.jobsPerSecond);
-  EXPECT_EQ(parsed.specPath, original.specPath);
-  EXPECT_EQ(parsed.specDigest, original.specDigest);
-  ASSERT_EQ(parsed.points.size(), 2u);
-  EXPECT_EQ(parsed.points[1].gridIndex, 1u);
-  EXPECT_EQ(parsed.points[1].replications, 8);
-  EXPECT_DOUBLE_EQ(parsed.points[1].achievedCi95, 0.049);
-}
-
-TEST(ObsManifestTest, RenderParseRenderIsByteExact) {
-  // json::num round-trips doubles exactly, so render -> parse -> render
-  // is the identity on bytes; archived sidecars can be re-canonicalised.
-  const std::string text = manifestJson(fullManifest());
-  EXPECT_EQ(manifestJson(manifestFromJson(text)), text);
-
-  const std::string empty = manifestJson(RunManifest{});
-  EXPECT_EQ(manifestJson(manifestFromJson(empty)), empty);
-}
-
-TEST(ObsManifestTest, RejectsForeignDocuments) {
-  EXPECT_THROW(manifestFromJson("{\"format\":\"vanet-bench\",\"version\":1}"),
-               std::runtime_error);
-  EXPECT_THROW(manifestFromJson("not json at all"), std::runtime_error);
+  const json::Value parsed = json::parse(manifestJson(original));
+  EXPECT_EQ(parsed.at("format").asString(), "vanet-run-manifest");
+  EXPECT_EQ(parsed.at("version").asInt64(), 1);
+  EXPECT_EQ(parsed.at("artifact").asString(), original.artifact);
+  EXPECT_EQ(parsed.at("tool").asString(), original.tool);
+  std::vector<std::string> args;
+  for (const json::Value& arg : parsed.at("args").asArray()) {
+    args.push_back(arg.asString());
+  }
+  EXPECT_EQ(args, original.args);
+  EXPECT_EQ(parsed.at("git_rev").asString(), original.gitRev);
+  EXPECT_EQ(parsed.at("build_flags").asString(), original.buildFlags);
+  EXPECT_EQ(parsed.at("scenario").asString(), original.scenario);
+  EXPECT_EQ(parsed.at("master_seed").asUInt64(), original.masterSeed);
+  EXPECT_EQ(parsed.at("threads").asInt64(), original.threads);
+  EXPECT_EQ(parsed.at("shard_index").asInt64(), original.shardIndex);
+  EXPECT_EQ(parsed.at("shard_count").asInt64(), original.shardCount);
+  EXPECT_DOUBLE_EQ(parsed.at("target_ci").asDouble(), original.targetCi);
+  EXPECT_EQ(parsed.at("target_metric").asString(), original.targetMetric);
+  EXPECT_DOUBLE_EQ(parsed.at("wall_seconds").asDouble(),
+                   original.wallSeconds);
+  EXPECT_DOUBLE_EQ(parsed.at("jobs_per_second").asDouble(),
+                   original.jobsPerSecond);
+  EXPECT_EQ(parsed.at("spec_path").asString(), original.specPath);
+  EXPECT_EQ(parsed.at("spec_digest").asString(), "deadbeefcafef00d");
+  const std::vector<json::Value>& points = parsed.at("points").asArray();
+  ASSERT_EQ(points.size(), 2u);
+  EXPECT_EQ(points[1].at("grid_index").asUInt64(), 1u);
+  EXPECT_EQ(points[1].at("replications").asInt64(), 8);
+  EXPECT_DOUBLE_EQ(points[1].at("achieved_ci95").asDouble(), 0.049);
 }
 
 TEST(ObsManifestTest, SidecarPathAppendsSuffix) {
@@ -107,9 +100,9 @@ TEST(ObsManifestTest, WriteSidecarLandsNextToArtifactAndParses) {
   ASSERT_TRUE(in.good());
   const std::string text((std::istreambuf_iterator<char>(in)),
                          std::istreambuf_iterator<char>());
-  const RunManifest parsed = manifestFromJson(text);
-  EXPECT_EQ(parsed.artifact, artifact);
-  EXPECT_EQ(parsed.scenario, "highway");
+  const json::Value parsed = json::parse(text);
+  EXPECT_EQ(parsed.at("artifact").asString(), artifact);
+  EXPECT_EQ(parsed.at("scenario").asString(), "highway");
 
   // Unwritable sidecar directory: warn-and-false, never throw -- the
   // artefact write must not fail because its provenance could not land.
@@ -141,61 +134,12 @@ TEST(ObsManifestTest, SetRunSpecFlowsIntoEveryManifest) {
   EXPECT_EQ(manifest.specDigest, 0x0123456789abcdefULL);
 
   // The digest renders as a 16-hex-digit string (not a JSON number:
-  // 64-bit values do not survive double rounding) and parses back.
-  const std::string text = manifestJson(manifest);
-  EXPECT_NE(text.find("\"spec_path\":\"specs/ablation_speed.json\""),
-            std::string::npos);
-  EXPECT_NE(text.find("\"spec_digest\":\"0123456789abcdef\""),
-            std::string::npos);
-  const RunManifest parsed = manifestFromJson(text);
-  EXPECT_EQ(parsed.specDigest, 0x0123456789abcdefULL);
+  // 64-bit values do not survive double rounding).
+  const json::Value parsed = json::parse(manifestJson(manifest));
+  EXPECT_EQ(parsed.at("spec_path").asString(), "specs/ablation_speed.json");
+  EXPECT_EQ(parsed.at("spec_digest").asString(), "0123456789abcdef");
 
   setRunSpec("", 0);  // reset for the other tests in this binary
-}
-
-TEST(ObsManifestTest, ManifestsWithoutSpecKeysStillParse) {
-  // Sidecars written before the spec layer carry no spec_path or
-  // spec_digest; they parse with the flag-assembled defaults. Sidecars
-  // from builds with a selectable executor backend carry a "streaming"
-  // key, which is ignored like any unknown key.
-  RunManifest old = fullManifest();
-  old.specPath.clear();
-  old.specDigest = 0;
-  std::string text = manifestJson(old);
-  // The normalized form always renders the keys; simulate an archived
-  // pre-spec sidecar by removing them line by line.
-  std::string pruned;
-  for (std::size_t start = 0; start < text.size();) {
-    const std::size_t end = text.find('\n', start);
-    const std::string line = text.substr(start, end - start + 1);
-    if (line.find("\"spec_path\"") == std::string::npos &&
-        line.find("\"spec_digest\"") == std::string::npos) {
-      pruned += line;
-    }
-    start = end + 1;
-  }
-  std::string withStreaming = pruned;
-  const std::string anchor = "\"shard_count\":3,\n";
-  const std::size_t at = withStreaming.find(anchor);
-  ASSERT_NE(at, std::string::npos);
-  withStreaming.insert(at + anchor.size(), "\"streaming\":true,\n");
-  for (const std::string& archived : {pruned, withStreaming}) {
-    const RunManifest parsed = manifestFromJson(archived);
-    EXPECT_EQ(parsed.specPath, "");
-    EXPECT_EQ(parsed.specDigest, 0u);
-    EXPECT_EQ(parsed.scenario, old.scenario);
-    EXPECT_EQ(parsed.shardCount, old.shardCount);
-  }
-}
-
-TEST(ObsManifestTest, MalformedSpecDigestIsRejected) {
-  RunManifest manifest = fullManifest();
-  std::string text = manifestJson(manifest);
-  const std::string needle = "\"spec_digest\":\"";
-  const std::size_t at = text.find(needle);
-  ASSERT_NE(at, std::string::npos);
-  text.replace(at, needle.size() + 16, needle + "not-hexadecimal!");
-  EXPECT_THROW(manifestFromJson(text), std::runtime_error);
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 // vanet_campaign fails fast on unusable output paths, spec params and keys,
-// and flags outside the engine vocabulary: the error names the flag, path,
-// param or key, the exit status is nonzero, and no job runs (no
-// `--progress` line, which the first finished job always prints, and no
-// `--checkpoint` file, which every wave barrier writes).
+// flags outside the engine vocabulary, and engine flags without a usable
+// value: the error names the flag, path, param or key, the exit status is
+// nonzero, and no job runs (no `--progress` line, which the first
+// finished job always prints, and no `--checkpoint` file, which every
+// wave barrier writes). Commands run inside the test's own directory, so
+// a stray relative output file shows up there.
 // Artefact writes that fail after the run fail the exit status too. The
 // table1 spec prints the Table 1 block.
 
@@ -13,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <set>
 #include <string>
 
 namespace {
@@ -42,6 +45,11 @@ class CampaignCliTest : public ::testing::Test {
     return std::string(VANET_SPEC_DIR) + "/" + name + ".json";
   }
 
+  /// The CI fixture tests/specs/<name>.json.
+  static std::string fixture(const std::string& name) {
+    return std::string(VANET_SPEC_DIR) + "/../tests/specs/" + name + ".json";
+  }
+
   /// Writes a one-point urban spec with `base` (a JSON object) as its
   /// base params, plus the `extra` members (", \"key\": value" text), and
   /// returns its path.
@@ -61,18 +69,42 @@ class CampaignCliTest : public ::testing::Test {
   CliRun run(const std::string& flags,
              const std::string& specPath = committed("ablation_speed"),
              bool withCheckpoint = true) const {
-    const fs::path log = dir_ / "cli.log";
-    const std::string command =
+    return shell(
         std::string(VANET_CAMPAIGN_BIN) + " run " + specPath + " " + flags +
         " --progress" +
-        (withCheckpoint ? " --checkpoint=" + checkpoint().string() : "") +
-        " > " + log.string() + " 2>&1";
+        (withCheckpoint ? " --checkpoint=" + checkpoint().string() : ""));
+  }
+
+  /// Runs `command` inside dir_, capturing stdout + stderr in cli.log.
+  CliRun shell(const std::string& command) const {
+    const fs::path log = dir_ / "cli.log";
+    const std::string line = "cd " + dir_.string() + " && " + command +
+                             " > " + log.string() + " 2>&1";
     CliRun result;
-    result.status = std::system(command.c_str());
+    result.status = std::system(line.c_str());
     std::ifstream in(log);
     result.output.assign(std::istreambuf_iterator<char>(in),
                          std::istreambuf_iterator<char>());
     return result;
+  }
+
+  /// The names of the files in dir_.
+  std::set<std::string> files() const {
+    std::set<std::string> names;
+    for (const fs::directory_entry& entry : fs::directory_iterator(dir_)) {
+      names.insert(entry.path().filename().string());
+    }
+    return names;
+  }
+
+  /// Exit status 2 whose output names `text`, with no job run and no
+  /// file written.
+  void expectUsageError(const CliRun& result, const std::string& text) const {
+    ASSERT_TRUE(WIFEXITED(result.status)) << result.output;
+    EXPECT_EQ(WEXITSTATUS(result.status), 2) << result.output;
+    EXPECT_NE(result.output.find(text), std::string::npos) << result.output;
+    EXPECT_FALSE(anyJobRan(result)) << result.output;
+    EXPECT_EQ(files(), std::set<std::string>{"cli.log"}) << result.output;
   }
 
   fs::path checkpoint() const { return dir_ / "ck.bin"; }
@@ -234,6 +266,63 @@ TEST_F(CampaignCliTest, SeedFlagIsRejectedBecauseTheSeedIsTheSpecs) {
   EXPECT_EQ(result.output.find("did you mean"), std::string::npos)
       << result.output;
   EXPECT_FALSE(anyJobRan(result)) << result.output;
+}
+
+TEST_F(CampaignCliTest, StaleRoundThreadsFlagIsUnknown) {
+  // Jobs are the only parallel axis; the old round-worker flag is not
+  // quietly ignored.
+  const CliRun result = run("--round-threads=4", committed("table1"));
+  expectUsageError(result, "unknown flag --round-threads");
+  EXPECT_EQ(result.output.find("did you mean"), std::string::npos)
+      << result.output;
+}
+
+TEST_F(CampaignCliTest, StringFlagsWithoutAValueFailBeforeAnyJob) {
+  // A bare --partial-out used to write the shard partial to ./true, a
+  // bare --checkpoint its checkpoint there; an empty --partial-out= or
+  // --csv= ran the jobs, wrote nothing and exited 0.
+  const std::string smoke = fixture("sanitize_smoke");
+  expectUsageError(run("--shard=0/2 --partial-out", smoke),
+                   "flag --partial-out: needs a value");
+  expectUsageError(run("--shard=0/2 --partial-out=", smoke),
+                   "flag --partial-out: needs a value");
+  expectUsageError(run("--csv=", smoke), "flag --csv: needs a value");
+  expectUsageError(run("--checkpoint", smoke, /*withCheckpoint=*/false),
+                   "flag --checkpoint: needs a value");
+}
+
+TEST_F(CampaignCliTest, EngineCountsOutOfRangeFailBeforeAnyJob) {
+  // --threads=-3 used to run on every core; --halt-after-waves=0 halted
+  // after one wave and a negative count ran to completion.
+  expectUsageError(run("--threads=-3"), "flag --threads: ");
+  expectUsageError(run("--halt-after-waves=0"), "flag --halt-after-waves: ");
+  expectUsageError(run("--halt-after-waves=-1"), "flag --halt-after-waves: ");
+}
+
+TEST_F(CampaignCliTest, MergeWithAnEmptyOutputFlagWritesNothing) {
+  const std::string smoke = fixture("sanitize_smoke");
+  for (const char* shard : {"0", "1"}) {
+    const CliRun made = shell(std::string(VANET_CAMPAIGN_BIN) + " run " +
+                              smoke + " --shard=" + shard +
+                              "/2 --partial-out=s" + shard + ".bin");
+    ASSERT_EQ(made.status, 0) << made.output;
+  }
+  const std::string merge =
+      std::string(VANET_CAMPAIGN_MERGE_BIN) + " s0.bin s1.bin";
+  const std::set<std::string> before = files();
+  const CliRun result = shell(merge + " --csv=");
+  ASSERT_TRUE(WIFEXITED(result.status)) << result.output;
+  EXPECT_EQ(WEXITSTATUS(result.status), 2) << result.output;
+  EXPECT_NE(result.output.find("flag --csv: needs a value"), std::string::npos)
+      << result.output;
+  EXPECT_EQ(result.output.find("merged "), std::string::npos)
+      << result.output;
+  EXPECT_EQ(files(), before) << result.output;
+
+  // The control: the same partials merge with a usable path.
+  const CliRun control = shell(merge + " --csv=merged.csv");
+  EXPECT_EQ(control.status, 0) << control.output;
+  EXPECT_TRUE(fs::exists(dir_ / "merged.csv"));
 }
 
 TEST_F(CampaignCliTest, SpecThatIsADirectoryFailsNamingThePath) {

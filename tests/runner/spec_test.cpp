@@ -415,7 +415,6 @@ TEST(CampaignSpecTest, GossipPointZeroIsTheTable1Campaign) {
 TEST(CampaignSpecTest, ApplyEngineFlagsLeavesTheExperimentAlone) {
   CampaignRunFlags run;
   run.threads = 7;
-  run.roundThreads = 2;
   run.shard.index = 1;
   run.shard.count = 3;
   run.progress = true;
@@ -426,7 +425,6 @@ TEST(CampaignSpecTest, ApplyEngineFlagsLeavesTheExperimentAlone) {
   CampaignConfig config = campaignConfigFromSpec(richSpec());
   applyEngineFlags(run, config);
   EXPECT_EQ(config.threads, 7);
-  EXPECT_EQ(config.roundThreads, 2);
   EXPECT_EQ(config.shard.index, 1);
   EXPECT_EQ(config.shard.count, 3);
   EXPECT_TRUE(config.progress);

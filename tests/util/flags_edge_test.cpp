@@ -1,8 +1,9 @@
 /// \file flags_edge_test.cpp
 /// Edge cases of the flag parser that the happy-path suite in
 /// flags_test.cpp does not cover: explicitly empty values (`--rounds=`),
-/// flags whose space-syntax value is a negative number, malformed
-/// `--shard` specs, and run-state flags given without a checkpoint.
+/// string flags given bare (`--partial-out`), flags whose space-syntax
+/// value is a negative number, malformed `--shard` specs, engine counts
+/// out of range, and run-state flags given without a checkpoint.
 /// Every typed parser rejects a bad value by printing a diagnostic and
 /// exiting with status 2 (badValue), which death tests observe from the
 /// parent process.
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <initializer_list>
+#include <string>
 #include <vector>
 
 namespace vanet {
@@ -36,16 +38,59 @@ TEST(FlagsEdgeDeathTest, EmptyValuesAreRejectedByEveryTypedParser) {
               ::testing::ExitedWithCode(2), "cannot parse '' as bool");
   EXPECT_EXIT(parse({"--shard="}).getShard("shard"),
               ::testing::ExitedWithCode(2), "cannot parse '' as shard");
+  // `--csv=` used to read as "no artefacts" and exit 0.
+  EXPECT_EXIT(parse({"--csv="}).getString("csv", ""),
+              ::testing::ExitedWithCode(2), "flag --csv: needs a value");
+}
+
+TEST(FlagsEdgeDeathTest, BareStringFlagsAreRejected) {
+  // A bare `--partial-out` is stored as "true" for getBool; as a string
+  // it used to name a file `./true`.
+  EXPECT_EXIT(parse({"--partial-out"}).getString("partial-out", ""),
+              ::testing::ExitedWithCode(2),
+              "flag --partial-out: needs a value");
+  // Bare before another flag is bare too; the last occurrence decides.
+  EXPECT_EXIT(parse({"--csv=out", "--csv", "--progress"}).getString("csv", ""),
+              ::testing::ExitedWithCode(2), "flag --csv: needs a value");
+  EXPECT_EQ(parse({"--csv", "--csv=out"}).getString("csv", ""), "out");
+  EXPECT_EQ(parse({"--csv", "out"}).getString("csv", ""), "out");
+  // Through the engine flags: every string flag of campaignRunFlags.
+  for (const char* flag : {"--partial-out", "--checkpoint", "--log-level"}) {
+    EXPECT_EXIT(campaignRunFlags(parse({flag, "--progress"})),
+                ::testing::ExitedWithCode(2),
+                std::string("flag ") + flag + ": needs a value")
+        << flag;
+  }
+  EXPECT_EXIT(campaignRunFlags(parse({"--checkpoint="})),
+              ::testing::ExitedWithCode(2), "flag --checkpoint: needs a value");
 }
 
 TEST(FlagsTest, EmptyValueStaysDistinctFromAbsentFlag) {
-  // The empty value is rejected loudly -- it must NOT read as "flag
-  // absent, use the fallback". Only strings may legitimately be empty.
+  // The empty value is present (and rejected loudly by every getter); it
+  // must NOT read as "flag absent, use the fallback".
   const Flags f = parse({"--partial-out="});
   EXPECT_TRUE(f.has("partial-out"));
-  EXPECT_EQ(f.getString("partial-out", "dflt"), "");
   EXPECT_FALSE(f.has("missing"));
   EXPECT_EQ(f.getString("missing", "dflt"), "dflt");
+}
+
+TEST(FlagsEdgeDeathTest, EngineCountsOutOfRangeAreRejected) {
+  // --threads=-3 used to run on every core like --threads=0.
+  for (const char* threads : {"--threads=-3", "--threads=-1"}) {
+    EXPECT_EXIT(campaignRunFlags(parse({threads})),
+                ::testing::ExitedWithCode(2), "flag --threads: ")
+        << threads;
+  }
+  // --halt-after-waves=0 used to halt after one wave, a negative count to
+  // run to completion.
+  for (const char* halt : {"--halt-after-waves=0", "--halt-after-waves=-2"}) {
+    EXPECT_EXIT(campaignRunFlags(parse({halt, "--checkpoint=ck.bin"})),
+                ::testing::ExitedWithCode(2), "flag --halt-after-waves: ")
+        << halt;
+  }
+  // --threads=0 keeps its meaning: all cores (resolved by the executor).
+  EXPECT_EQ(campaignRunFlags(parse({"--threads=0"})).threads, 0);
+  EXPECT_EQ(campaignRunFlags(parse({})).haltAfterWaves, -1);
 }
 
 TEST(FlagsTest, SpaceSyntaxConsumesNegativeNumbers) {
@@ -110,7 +155,7 @@ TEST(FlagsTest, AllowOnlyAcceptsTheFullVocabulary) {
   EXPECT_EQ(flags.positional().size(), 2u);
   // The engine vocabulary only: the seed and the adaptive policy are the
   // spec's.
-  EXPECT_EQ(campaignFlagNames().size(), 9u);
+  EXPECT_EQ(campaignFlagNames().size(), 8u);
 }
 
 }  // namespace
