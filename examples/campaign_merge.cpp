@@ -31,6 +31,7 @@ int main(int argc, char** argv) {
   const Flags flags(argc, argv);
   flags.allowOnly(
       {"csv", "json", "figures-dir", "figures-base", "log-level"});
+  applyLogLevelFlag(flags);
   if (flags.positional().empty()) {
     std::cerr << "usage: campaign_merge SHARD... [--csv=FILE]"
                  " [--json=FILE] [--figures-dir=DIR --figures-base=B]\n";

@@ -78,6 +78,7 @@ StudyResult run(double closeGapSeconds, int rounds, std::uint64_t seed) {
 int main(int argc, char** argv) {
   const vanet::Flags flags(argc, argv);
   flags.allowOnly({"rounds", "seed", "log-level"});
+  vanet::applyLogLevelFlag(flags);
   const int rounds = flags.getInt("rounds", 20);
   const auto seed = static_cast<std::uint64_t>(flags.getInt("seed", 3));
 

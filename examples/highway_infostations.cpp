@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
   const Flags flags(argc, argv);
   flags.allowOnly({"file", "rounds", "aps", "spacing", "cars", "speed-kmh",
                    "seed", "log-level"});
+  applyLogLevelFlag(flags);
 
   const SeqNo fileSize = static_cast<SeqNo>(flags.getInt("file", 220));
   const int rounds = flags.getInt("rounds", 5);

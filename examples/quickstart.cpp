@@ -14,6 +14,7 @@ int main(int argc, char** argv) {
   using namespace vanet;
   const Flags flags(argc, argv);
   flags.allowOnly({"rounds", "seed", "log-level"});
+  applyLogLevelFlag(flags);
 
   // 1. Describe the experiment. Defaults reproduce the ICDCS'08 testbed:
   //    three cars lapping an urban block at 20 km/h past one AP that

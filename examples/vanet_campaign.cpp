@@ -63,6 +63,7 @@ int main(int argc, char** argv) {
 
   if (verb == "list") {
     flags.allowOnly({"log-level"});
+    applyLogLevelFlag(flags);
     std::cout << runner::renderScenarioList();
     return 0;
   }
@@ -72,6 +73,7 @@ int main(int argc, char** argv) {
 
   if (verb == "print") {
     flags.allowOnly({"log-level"});
+    applyLogLevelFlag(flags);
     try {
       std::cout << runner::renderCampaignSpec(
           runner::loadCampaignSpec(specPath));

@@ -207,10 +207,10 @@ sim::SimTime RadioEnvironment::beginTransmission(Radio& src, Frame frame,
     }
   }
   ++stats_.framesTransmitted;
-  // Raw-pointer capture: fits std::function's small buffer (no per-event
-  // allocation). The pool owns `tx` for the environment's lifetime, and
-  // the record cannot be recycled before this event runs (recycling only
-  // happens once the record ages out of recent_, 50 ms *after* delivery).
+  // Raw-pointer capture: fits the scheduler's handler cell. The pool owns
+  // `tx` for the environment's lifetime, and the record cannot be recycled
+  // before this event runs (recycling only happens once the record ages
+  // out of recent_, 50 ms *after* delivery).
   sim_.scheduleAt(tx->end, [this, tx] { deliver(tx); });
   return tx->end;
 }

@@ -10,10 +10,11 @@
 /// Hot-path layout: receivers of one transmission are gathered into a
 /// struct-of-arrays LinkBatch and planned in staged passes (see
 /// channel/link_batch.h); in-flight transmission records are pooled and
-/// referenced by raw pointer (their finalize closures fit std::function's
-/// small buffer, so steady-state transmission churn never allocates); and
-/// each radio carries a dense environment slot so plan lookups during
-/// carrier sense / interference accumulation are O(1) array reads.
+/// referenced by raw pointer (their finalize closures fit the scheduler's
+/// fixed handler cell, so steady-state transmission churn never
+/// allocates); and each radio carries a dense environment slot so plan
+/// lookups during carrier sense / interference accumulation are O(1)
+/// array reads.
 ///
 /// Receivers that cannot hear are cheap: a link between two static radios
 /// is planned once and its mean reused, a receiver the link model

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "obs/counters.h"
@@ -77,6 +78,18 @@ void writeCheckpointAtomically(const std::string& path,
 }  // namespace
 
 CampaignResult runCampaign(const CampaignConfig& config) {
+  // The engine counts the CLI rejects are rejected here too, instead of
+  // reading -3 threads as every core or 0 waves as one.
+  if (config.threads < 0) {
+    throw std::invalid_argument(
+        "campaign threads must be >= 0 (0 = all cores), got " +
+        std::to_string(config.threads));
+  }
+  if (config.haltAfterWaves == 0) {
+    throw std::invalid_argument(
+        "campaign haltAfterWaves must be >= 1 (< 0 runs to completion), "
+        "got 0");
+  }
   if (config.haltAfterWaves >= 0 && config.checkpointPath.empty()) {
     // A halted run returns no points: without a checkpoint the simulated
     // waves would be thrown away.

@@ -80,13 +80,14 @@ struct WaveHooks {
 };
 
 /// Runs every shard job of `plan` and folds the results into `into` in
-/// ascending local job order. `requestedThreads` <= 0 picks the hardware
-/// concurrency; the count is clamped to the job count. Rethrows the
-/// first worker exception after the pool drains -- wrapped with the
-/// failing job's global index, grid point and replication -- and `into`
-/// is then incomplete and must be discarded. `progress`, when non-null,
-/// receives a wave notification at each barrier and a (thread-safe)
-/// tick per completed job; it observes only, never schedules.
+/// ascending local job order. `requestedThreads` 0 picks the hardware
+/// concurrency (runCampaign rejects a negative count); the count is
+/// clamped to the job count. Rethrows the first worker exception after
+/// the pool drains -- wrapped with the failing job's global index, grid
+/// point and replication -- and `into` is then incomplete and must be
+/// discarded. `progress`, when non-null, receives a wave notification at
+/// each barrier and a (thread-safe) tick per completed job; it observes
+/// only, never schedules.
 ExecutionStats executeCampaign(const CampaignPlan& plan, int requestedThreads,
                                CampaignAccumulator& into,
                                obs::ProgressReporter* progress = nullptr,

@@ -77,6 +77,7 @@ struct CampaignConfig {
   std::uint64_t masterSeed = 2008;
   /// Job worker threads, the only parallel axis (a job's rounds run in
   /// order on its worker); 0 picks std::thread::hardware_concurrency().
+  /// runCampaign throws std::invalid_argument before any job when < 0.
   int threads = 0;
   /// Which slice of the grid this process runs; {0, 1} = everything.
   Shard shard{};
@@ -98,11 +99,12 @@ struct CampaignConfig {
   /// throws. A missing checkpoint file is an error; a *complete*
   /// checkpoint just re-emits the finished result.
   bool resume = false;
-  /// Stop after this many wave barriers (< 0: run to completion); the
-  /// result comes back with halted = true and no points. Simulates a
+  /// Stop after this many wave barriers, >= 1 (< 0: run to completion);
+  /// the result comes back with halted = true and no points. Simulates a
   /// kill between waves for checkpoint tests and the CI resume smoke.
-  /// Needs `checkpointPath`, which keeps the fold state: runCampaign
-  /// throws std::invalid_argument before any job otherwise.
+  /// Needs `checkpointPath`, which keeps the fold state. runCampaign
+  /// throws std::invalid_argument before any job for 0 or a missing
+  /// checkpoint path.
   int haltAfterWaves = -1;
 };
 

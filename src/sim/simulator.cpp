@@ -1,119 +1,59 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "obs/counters.h"
-#include "util/assert.h"
 
 namespace vanet::sim {
 
-EventId Simulator::scheduleAt(SimTime at, std::function<void()> fn) {
+std::uint32_t Simulator::enqueue(SimTime at) {
   VANET_ASSERT(at >= now_, "cannot schedule an event in the past");
-  VANET_ASSERT(fn != nullptr, "event handler must be callable");
-  std::size_t slot;
+  std::uint32_t slot;
   if (!freeSlots_.empty()) {
     slot = freeSlots_.back();
     freeSlots_.pop_back();
   } else {
-    slot = slots_.size();
-    VANET_ASSERT(slot <= 0xffffffffu, "event slot space exhausted");
+    VANET_ASSERT(slots_.size() < 0xffffffffu, "event slot space exhausted");
+    slot = static_cast<std::uint32_t>(slots_.size());
     slots_.emplace_back();
   }
-  Slot& cell = slots_[slot];
-  cell.fn = std::move(fn);
-  cell.live = true;
-  ++liveCount_;
-  const EventId id =
-      (static_cast<EventId>(cell.generation) << 32) | static_cast<EventId>(slot);
-  queue_.push_back(Entry{at, nextSeq_++, id});
-  std::push_heap(queue_.begin(), queue_.end(), EntryLater{});
-  return id;
+  // Every queued entry was inserted earlier, so the new one goes in front
+  // of (fires after) all entries at the same time.
+  std::size_t pos = pending_.size();
+  while (pos > 0 && pending_[pos - 1].at <= at) --pos;
+  pending_.insert(pending_.begin() + static_cast<std::ptrdiff_t>(pos),
+                  Entry{at, slot});
+  return slot;
 }
 
-EventId Simulator::scheduleAfter(SimTime delay, std::function<void()> fn) {
-  VANET_ASSERT(delay >= SimTime::zero(), "delay must be non-negative");
-  return scheduleAt(now_ + delay, std::move(fn));
-}
-
-void Simulator::releaseSlot(std::size_t slot) noexcept {
+void Simulator::releaseSlot(std::uint32_t slot) noexcept {
   Slot& cell = slots_[slot];
   ++cell.generation;
   if (cell.generation == 0) cell.generation = 1;  // keep ids non-zero
-  freeSlots_.push_back(static_cast<std::uint32_t>(slot));
+  freeSlots_.push_back(slot);
 }
 
 void Simulator::cancel(EventId id) {
-  const std::size_t slot = slotOf(id);
-  if (slot >= slots_.size() || slots_[slot].generation != generationOf(id) ||
-      !slots_[slot].live) {
-    return;  // already fired or cancelled
-  }
-  // Release the closure eagerly (it may pin resources); the queue entry is
-  // discarded lazily and the slot recycled when the entry surfaces or the
-  // queue compacts.
-  slots_[slot].fn = nullptr;
-  slots_[slot].live = false;
-  --liveCount_;
-  OBS_COUNT("sim.events_cancelled");
-  ++cancelledInQueue_;
-  maybeCompact();
-}
-
-void Simulator::maybeCompact() {
-  if (cancelledInQueue_ <= kCompactionSlack || cancelledInQueue_ <= liveCount_) {
-    return;
-  }
-  OBS_COUNT("sim.queue_compactions");
-  const auto live =
-      std::remove_if(queue_.begin(), queue_.end(), [this](const Entry& entry) {
-        const std::size_t slot = slotOf(entry.id);
-        if (slots_[slot].generation == generationOf(entry.id) &&
-            slots_[slot].live) {
-          return false;
-        }
-        releaseSlot(slot);
-        return true;
-      });
-  queue_.erase(live, queue_.end());
-  // Capacity is kept: steady schedule-cancel churn would otherwise pay a
-  // free/realloc cycle per compaction. It stays bounded by the largest
-  // pre-compaction queue, which the compaction keeps O(pending).
-  std::make_heap(queue_.begin(), queue_.end(), EntryLater{});
-  cancelledInQueue_ = 0;
-}
-
-bool Simulator::popNextLive(Entry& out) {
-  while (!queue_.empty()) {
-    const Entry top = queue_.front();
-    const std::size_t slot = slotOf(top.id);
-    if (slots_[slot].generation != generationOf(top.id) || !slots_[slot].live) {
-      std::pop_heap(queue_.begin(), queue_.end(), EntryLater{});
-      queue_.pop_back();  // cancelled; discard lazily
-      if (slots_[slot].generation == generationOf(top.id)) releaseSlot(slot);
-      if (cancelledInQueue_ > 0) --cancelledInQueue_;
-      continue;
-    }
-    out = top;
-    return true;
-  }
-  return false;
-}
-
-void Simulator::dispatch(const Entry& entry) {
-  // `entry` is the live top popNextLive just returned.
-  std::pop_heap(queue_.begin(), queue_.end(), EntryLater{});
-  queue_.pop_back();
-  const std::size_t slot = slotOf(entry.id);
-  std::function<void()> fn = std::move(slots_[slot].fn);
-  slots_[slot].fn = nullptr;
-  slots_[slot].live = false;
-  --liveCount_;
+  if (!isPending(id)) return;  // already fired or cancelled
+  const auto slot = static_cast<std::uint32_t>(id);  // the low 32 bits
+  pending_.erase(std::find_if(
+      pending_.begin(), pending_.end(),
+      [slot](const Entry& entry) { return entry.slot == slot; }));
   releaseSlot(slot);
+  OBS_COUNT("sim.events_cancelled");
+}
+
+void Simulator::dispatchNext() {
+  const Entry entry = pending_.back();
+  pending_.pop_back();
+  // Copied out first: the handler may schedule into the slot it frees, and
+  // scheduling may grow slots_.
+  Handler handler = slots_[entry.slot].handler;
+  releaseSlot(entry.slot);
   VANET_ASSERT(entry.at >= now_, "event queue must be monotone");
   now_ = entry.at;
   ++executed_;
-  fn();
+  handler.invoke(handler.bytes);
 }
 
 void Simulator::countDispatched() {
@@ -122,25 +62,22 @@ void Simulator::countDispatched() {
 }
 
 bool Simulator::step() {
-  Entry entry;
-  if (!popNextLive(entry)) return false;
-  dispatch(entry);
+  if (pending_.empty()) return false;
+  dispatchNext();
   countDispatched();
   return true;
 }
 
 void Simulator::run() {
   stopped_ = false;
-  Entry entry;
-  while (!stopped_ && popNextLive(entry)) dispatch(entry);
+  while (!stopped_ && !pending_.empty()) dispatchNext();
   countDispatched();
 }
 
 void Simulator::runUntil(SimTime until) {
   stopped_ = false;
-  Entry entry;
-  while (!stopped_ && popNextLive(entry) && entry.at <= until) {
-    dispatch(entry);
+  while (!stopped_ && !pending_.empty() && pending_.back().at <= until) {
+    dispatchNext();
   }
   countDispatched();
   if (!stopped_ && now_ < until) {

@@ -145,6 +145,14 @@ bool Flags::getBool(const std::string& name, bool fallback) const {
   badValue(name, v, "bool");
 }
 
+void applyLogLevelFlag(const Flags& flags) {
+  if (!flags.has("log-level")) return;
+  const std::string level = flags.getString("log-level", "");
+  if (!Log::setLevelFromName(level)) {
+    badValue("log-level", level, "level name (error|warn|info|debug|trace)");
+  }
+}
+
 CampaignRunFlags campaignRunFlags(const Flags& flags) {
   CampaignRunFlags run;
   run.threads = flags.getInt("threads", 0);
@@ -172,12 +180,7 @@ CampaignRunFlags campaignRunFlags(const Flags& flags) {
     std::exit(2);
   }
   run.progress = flags.getBool("progress", false);
-  if (flags.has("log-level")) {
-    const std::string level = flags.getString("log-level", "");
-    if (!Log::setLevelFromName(level)) {
-      badValue("log-level", level, "level name (error|warn|info|debug|trace)");
-    }
-  }
+  applyLogLevelFlag(flags);
   return run;
 }
 

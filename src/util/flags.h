@@ -59,6 +59,12 @@ class Flags {
   std::vector<std::string> positional_;
 };
 
+/// Applies `--log-level=L` (error|warn|info|debug|trace), which wins over
+/// the VANET_LOG environment default; an unknown or missing name exits 2
+/// naming the flag. Every binary that accepts the flag calls this right
+/// after Flags::allowOnly (campaignRunFlags() calls it for its binaries).
+void applyLogLevelFlag(const Flags& flags);
+
 /// The names campaignRunFlags() reads -- the engine vocabulary of
 /// `vanet_campaign run`. Append binary-specific names to a copy and pass
 /// the result to Flags::allowOnly().
@@ -94,9 +100,8 @@ struct CampaignRunFlags {
   bool progress = false;
 };
 
-/// Reads the shared campaign flags from `flags`. Also *applies* the
-/// logging flags as a side effect: `--log-level=L` (validated; abort on
-/// an unknown name) wins over the VANET_LOG environment default.
+/// Reads the shared campaign flags from `flags`. Also *applies*
+/// `--log-level` as a side effect, through applyLogLevelFlag().
 /// `--threads` < 0 and `--halt-after-waves` < 1 exit 2 naming the flag.
 /// `--resume` and `--halt-after-waves` without `--checkpoint` exit 2:
 /// neither has any state to read or keep without it.

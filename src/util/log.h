@@ -8,9 +8,9 @@
 /// concurrent campaign workers never interleave mid-line.
 ///
 /// The initial level comes from the `VANET_LOG` environment variable
-/// (error|warn|info|debug|trace; default warn); binaries that parse the
-/// shared campaign flags also honour `--log-level=LEVEL`, which wins over
-/// the environment.
+/// (error|warn|info|debug|trace; default warn); every binary that
+/// accepts `--log-level=LEVEL` applies it through applyLogLevelFlag()
+/// (util/flags.h), and it wins over the environment.
 
 #include <atomic>
 #include <sstream>

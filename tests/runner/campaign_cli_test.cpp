@@ -325,6 +325,27 @@ TEST_F(CampaignCliTest, MergeWithAnEmptyOutputFlagWritesNothing) {
   EXPECT_TRUE(fs::exists(dir_ / "merged.csv"));
 }
 
+TEST_F(CampaignCliTest, LogLevelIsCheckedByListPrintAndMerge) {
+  // These verbs accepted any --log-level and never applied it; only `run`
+  // read the flag.
+  const std::string cli = std::string(VANET_CAMPAIGN_BIN);
+  const std::string merge = std::string(VANET_CAMPAIGN_MERGE_BIN);
+  const std::string table1 = committed("table1");
+  const std::string bad = " --log-level=bogus";
+  expectUsageError(shell(cli + " list" + bad), "flag --log-level: ");
+  expectUsageError(shell(cli + " print " + table1 + bad), "flag --log-level: ");
+  // Checked before the partials are read: these do not exist.
+  expectUsageError(shell(merge + " s0.bin s1.bin --csv=merged.csv" + bad),
+                   "flag --log-level: ");
+
+  // A valid level is accepted.
+  EXPECT_EQ(shell(cli + " list --log-level=debug").status, 0);
+  const CliRun printed = shell(cli + " print " + table1 + " --log-level=error");
+  EXPECT_EQ(printed.status, 0) << printed.output;
+  EXPECT_NE(printed.output.find("\"vanet-campaign-spec\""), std::string::npos)
+      << printed.output;
+}
+
 TEST_F(CampaignCliTest, SpecThatIsADirectoryFailsNamingThePath) {
   const std::string specDir = (dir_ / "specs").string();
   fs::create_directories(specDir);

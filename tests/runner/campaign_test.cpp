@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -194,6 +195,52 @@ TEST(CampaignTest, WorkerExceptionPropagates) {
     EXPECT_NE(what.find("replication 0"), std::string::npos) << what;
     EXPECT_NE(what.find("job failed"), std::string::npos) << what;
   }
+}
+
+TEST(CampaignTest, EngineCountsOutOfRangeThrowBeforeAnyJob) {
+  // threads < 0 used to run on every core and haltAfterWaves == 0 halted
+  // after one wave; both now fail naming the field, with no job run.
+  static std::atomic<int> jobsRun{0};
+  const std::string name = "campaign-test-counts-jobs";
+  if (ScenarioRegistry::global().find(name) == nullptr) {
+    ScenarioRegistry::global().add(ScenarioInfo{
+        name, "counts its jobs", {}, [](const JobContext&) {
+          ++jobsRun;
+          JobResult result;
+          result.rounds = 1;
+          return result;
+        }});
+  }
+  CampaignConfig config;
+  config.scenario = name;
+  config.replications = 3;
+  config.threads = 1;
+  const auto expectRejected = [](const CampaignConfig& bad,
+                                 const std::string& field) {
+    try {
+      runCampaign(bad);
+      FAIL() << field << " out of range must not run";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
+          << error.what();
+    }
+  };
+  CampaignConfig negativeThreads = config;
+  negativeThreads.threads = -3;
+  expectRejected(negativeThreads, "threads");
+  CampaignConfig zeroWaves = config;
+  zeroWaves.haltAfterWaves = 0;
+  zeroWaves.checkpointPath = ::testing::TempDir() + "/zero_waves.ckpt";
+  expectRejected(zeroWaves, "haltAfterWaves");
+  EXPECT_EQ(jobsRun.load(), 0);
+  EXPECT_FALSE(std::filesystem::exists(zeroWaves.checkpointPath));
+
+  // The control: 0 threads (all cores) and a negative halt count (run to
+  // completion) keep their meaning.
+  config.threads = 0;
+  config.haltAfterWaves = -1;
+  EXPECT_EQ(runCampaign(config).jobCount, 3u);
+  EXPECT_EQ(jobsRun.load(), 3);
 }
 
 TEST(CampaignTest, BadParamValuesFailNamingTheParam) {
